@@ -5,19 +5,21 @@
 //!
 //! * [`reactor`](crate::reactor) (the default): a fixed pool of event-loop
 //!   threads driving nonblocking sockets through epoll, one multiplexed
-//!   connection per peer pair;
+//!   connection per peer pair. The nodes themselves run on those threads:
+//!   each reactor decodes an inbound frame and calls the actor's handler
+//!   inline, so one frame costs one thread wake-up;
 //! * [`threads`](crate::threads) (`CONTRARIAN_NET=threads`): the original
-//!   thread-per-connection engine — a writer thread per node, a reader
-//!   thread per accepted socket — kept as the baseline the reactor is
-//!   measured against.
+//!   thread-per-connection engine — a thread per node on
+//!   [`contrarian_runtime::node_loop::run_node`], a writer thread per
+//!   node, a reader thread per accepted socket — kept as the baseline the
+//!   reactor is measured against.
 //!
-//! Both engines share a [`ClusterCore`]: the run flags and history sink
-//! ([`RunShared`]), every node's input channel, and the wire counters.
-//! Node state machines run on their own threads via
-//! [`contrarian_runtime::node_loop::run_node`] either way — the engine
-//! choice only changes how an encoded frame crosses the process.
+//! Both engines share a `ClusterCore`: the run flags and history sink
+//! ([`RunShared`]), the way in for externally injected messages, and the
+//! wire counters. The engine choice only changes how an encoded frame
+//! crosses the process and which thread runs the handlers.
 
-use crate::reactor::ReactorCluster;
+use crate::reactor::{ReactorCluster, ReactorShared};
 use crate::threads::ThreadsCluster;
 use contrarian_runtime::actor::Actor;
 use contrarian_runtime::metrics::Metrics;
@@ -25,14 +27,16 @@ use contrarian_runtime::node_loop::{Input, RunShared};
 use contrarian_runtime::Runtime;
 use contrarian_types::codec::Wire;
 use contrarian_types::{Addr, HistoryEvent, Op};
-use crossbeam::channel::{bounded, Sender};
+use crossbeam::channel::Sender;
 use std::collections::HashMap;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Capacity of each node's input channel (frames). Bounded so a stalled
-/// node exerts backpressure instead of ballooning memory.
+/// Capacity of each node's input channel (`threads` engine) and of each
+/// reactor's inject queue. Bounded so a stalled node exerts backpressure
+/// instead of ballooning memory.
 pub(crate) const CHANNEL_CAP: usize = 64 * 1024;
 
 /// Which socket engine drives the cluster.
@@ -102,23 +106,70 @@ impl WireStats {
     }
 }
 
-/// State both engines share: run flags + history, the inbox of every node
-/// (reader side delivers into it, injection bypasses the sockets through
-/// it), and the wire counters.
+/// How an externally injected message reaches its node.
+pub(crate) enum Ingress<M> {
+    /// `threads` engine: each node's input channel.
+    Inbox(HashMap<Addr, Sender<Input<M>>>),
+    /// Reactor engine: the inject queue of the reactor running the node.
+    Reactor(HashMap<Addr, Arc<ReactorShared<M>>>),
+}
+
+/// State both engines share: run flags + history, the way in for injected
+/// messages, and the wire counters.
 pub(crate) struct ClusterCore<M> {
     pub(crate) run: RunShared,
-    pub(crate) inbox: HashMap<Addr, Sender<Input<M>>>,
+    pub(crate) ingress: Ingress<M>,
     pub(crate) wire: WireStats,
 }
 
-/// I/O footprint of the running engine, for the `net_perf` comparison:
-/// how many OS threads and socket endpoints it takes to move the frames.
-#[derive(Clone, Copy, Debug)]
+impl<M> ClusterCore<M> {
+    pub(crate) fn new(recording: bool, ingress: Ingress<M>) -> Self {
+        ClusterCore {
+            run: RunShared::new(recording),
+            ingress,
+            wire: WireStats::default(),
+        }
+    }
+
+    /// Hands `msg` from `from` to node `to`, blocking while its queue is
+    /// full. External injection bypasses the sockets (it is not cluster
+    /// traffic). Returns `false` if `to` is not a node of this cluster.
+    pub(crate) fn inject(&self, from: Addr, to: Addr, msg: M) -> bool {
+        match &self.ingress {
+            Ingress::Inbox(inbox) => inbox.get(&to).map(|tx| {
+                let _ = tx.send(Input::Msg { from, msg });
+            }),
+            Ingress::Reactor(reactors) => reactors.get(&to).map(|r| r.inject(from, to, msg)),
+        }
+        .is_some()
+    }
+}
+
+/// I/O footprint and work counters of the running engine, for the
+/// `net_perf` comparison and for checking where a hop's time goes.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct NetIoStats {
-    /// Threads dedicated to socket I/O (node threads excluded).
+    /// Threads that do socket I/O. The reactor engine runs its nodes on
+    /// these same threads (it has no others); the `threads` engine counts
+    /// its writer, accept and reader threads, not its node threads.
     pub transport_threads: usize,
     /// Socket endpoints established so far (connects + accepts).
     pub sockets: u64,
+    /// Bytes written to reactor wake pipes: one per injection from another
+    /// thread that found the reactor's queue idle. Frames between nodes
+    /// never write one. Always 0 on the `threads` engine.
+    pub wake_writes: u64,
+    /// Inbound frames a reactor decoded and handed to a node's handler on
+    /// its own thread (0 on the `threads` engine).
+    pub inline_dispatches: u64,
+    /// Times a node's dispatch paused because one of its outbound rings
+    /// reached [`crate::conn::RING_HIGH`].
+    pub backpressure_pauses: u64,
+    /// Connections closed because the peer sent bytes that are not a valid
+    /// frame stream: a corrupt or oversize frame or hello, a hello for a
+    /// node that does not listen there, a frame claiming another sender,
+    /// or an end of stream inside a frame.
+    pub peer_errors: u64,
 }
 
 /// Re-raises a panic from a joined I/O thread on the shutting-down thread.
@@ -133,8 +184,8 @@ enum Engine<A: Actor> {
     Reactor(ReactorCluster<A>),
 }
 
-/// A running TCP cluster: every node an OS thread, every message crossing
-/// a loopback socket through whichever engine [`NetKind`] selected.
+/// A running TCP cluster: every message between nodes crosses a loopback
+/// socket through whichever engine [`NetKind`] selected.
 pub struct NetCluster<A: Actor> {
     core: Arc<ClusterCore<A::Msg>>,
     engine: Engine<A>,
@@ -148,9 +199,7 @@ pub struct NetHandle<M> {
 
 impl<M: Send + 'static> NetHandle<M> {
     pub fn send(&self, from: Addr, to: Addr, msg: M) {
-        if let Some(tx) = self.core.inbox.get(&to) {
-            let _ = tx.send(Input::Msg { from, msg });
-        }
+        self.core.inject(from, to, msg);
     }
 
     /// Blocks until some history event satisfies `pred` (see
@@ -181,25 +230,15 @@ where
     /// Starts the cluster on an explicit engine (tests and the `net_perf`
     /// bench compare both in one process).
     pub fn start_with(nodes: Vec<(Addr, A)>, recording: bool, seed: u64, kind: NetKind) -> Self {
-        let mut inbox = HashMap::new();
-        let mut rxs = Vec::new();
-        for (addr, _) in &nodes {
-            let (tx, rx) = bounded::<Input<A::Msg>>(CHANNEL_CAP);
-            inbox.insert(*addr, tx);
-            rxs.push((*addr, rx));
-        }
-        let core = Arc::new(ClusterCore {
-            run: RunShared::new(recording),
-            inbox,
-            wire: WireStats::default(),
-        });
         let addrs: Vec<Addr> = nodes.iter().map(|(a, _)| *a).collect();
-        let engine = match kind {
+        let (core, engine) = match kind {
             NetKind::Threads => {
-                Engine::Threads(ThreadsCluster::start(core.clone(), nodes, rxs, seed))
+                let t = ThreadsCluster::start(nodes, recording, seed);
+                (t.core(), Engine::Threads(t))
             }
             NetKind::Reactor => {
-                Engine::Reactor(ReactorCluster::start(core.clone(), nodes, rxs, seed))
+                let r = ReactorCluster::start(nodes, recording, seed);
+                (r.core(), Engine::Reactor(r))
             }
         };
         NetCluster {
@@ -228,15 +267,10 @@ where
     /// sockets (it is not cluster traffic), exactly as on the other
     /// runtimes.
     pub fn inject_op(&self, client: Addr, op: Op) {
-        if let Some(tx) = self.core.inbox.get(&client) {
-            let _ = tx.send(Input::Msg {
-                from: client,
-                msg: A::inject(op),
-            });
-        }
+        self.core.inject(client, client, A::inject(op));
     }
 
-    /// Turns measurement on or off (sampled by every node thread).
+    /// Turns measurement on or off (sampled before every handler runs).
     pub fn set_measuring(&self, on: bool) {
         self.core.run.measuring.store(on, Ordering::SeqCst);
     }
@@ -260,7 +294,16 @@ where
         self.core.wire.frames_bytes()
     }
 
-    /// The engine's current I/O footprint.
+    /// Where `node` listens: the address a process outside the cluster
+    /// would dial to reach it.
+    pub fn endpoint(&self, node: Addr) -> Option<SocketAddr> {
+        match &self.engine {
+            Engine::Threads(t) => t.endpoint(node),
+            Engine::Reactor(r) => r.endpoint(node),
+        }
+    }
+
+    /// The engine's current I/O footprint and work counters.
     pub fn io_stats(&self) -> NetIoStats {
         match &self.engine {
             Engine::Threads(t) => t.io_stats(),
@@ -298,12 +341,9 @@ where
     fn send(&mut self, from: Addr, to: Addr, msg: A::Msg) {
         // Same contract as the other runtimes: an unknown destination is a
         // driver bug, not a droppable message.
-        let tx = self
-            .core
-            .inbox
-            .get(&to)
-            .unwrap_or_else(|| panic!("unknown addr {to}"));
-        let _ = tx.send(Input::Msg { from, msg });
+        if !self.core.inject(from, to, msg) {
+            panic!("unknown addr {to}");
+        }
     }
 
     fn stop_issuing(&mut self) {

@@ -1,12 +1,13 @@
-//! Per-connection state shared between node threads and the reactor.
+//! Per-connection output state and the connection handshake.
 //!
-//! A node thread produces encoded frames; the reactor thread that owns the
-//! connection's socket consumes them. The handoff is an [`OutRing`]: a
-//! bounded byte-budgeted frame queue. **Bounded matters** — the old
-//! transport's per-link channels held 64k frames each, so a stalled peer
-//! could balloon memory across O(n²) queues; here a full ring blocks the
-//! *producing node thread* (classic backpressure) until the reactor drains
-//! it or the link dies.
+//! A node's sends are encoded on the reactor thread that runs the node,
+//! straight onto the [`OutRing`] of the connection that carries them; the
+//! same thread drains it to the socket. The ring is **bounded** in the
+//! sense that matters: it never blocks the reactor, but once it holds
+//! [`RING_HIGH`] bytes the reactor stops dispatching to the sending node
+//! (and so stops reading that node's sockets) until the ring drains below
+//! half — backpressure that reaches the remote senders through TCP flow
+//! control instead of an unbounded queue.
 //!
 //! Frames are drained with vectored writes: the reactor stitches up to
 //! [`MAX_IOVS`] queued frames into one `writev`, so a replication burst
@@ -17,26 +18,13 @@ use contrarian_types::codec::{from_bytes, to_bytes, CodecError, Reader, Wire};
 use contrarian_types::Addr;
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Write};
-use std::sync::atomic::AtomicBool;
-use std::sync::{Condvar, Mutex};
 
-/// Byte budget of one connection's outbound ring. Crossing it blocks the
-/// producer; the reactor wakes producers once the ring drains below half.
+/// Byte budget of one connection's outbound ring. Crossing it pauses the
+/// sending node; the reactor resumes it once the ring drains below half.
 pub const RING_HIGH: usize = 4 << 20;
 
 /// Max frames stitched into one vectored write.
 pub const MAX_IOVS: usize = 64;
-
-struct RingInner {
-    frames: VecDeque<Vec<u8>>,
-    /// Bytes queued across all frames (first frame counted in full even if
-    /// partially written — the budget is an order-of-magnitude brake, not
-    /// an accounting ledger).
-    bytes: usize,
-    /// How much of the front frame has already been written.
-    head_off: usize,
-    closed: bool,
-}
 
 /// What one drain pass against the socket produced.
 pub struct DrainOutcome {
@@ -46,78 +34,54 @@ pub struct DrainOutcome {
     pub bytes: u64,
     /// The socket would block: the reactor must wait for writability.
     pub would_block: bool,
-    /// The ring still holds data (only meaningful with `would_block`).
-    pub pending: bool,
 }
 
-/// The cross-thread half of a connection: the outbound ring plus the flags
-/// the reactor and producers coordinate through.
+/// One connection's queue of encoded outbound frames. Owned by the
+/// reactor thread that owns the socket; nothing else touches it.
+#[derive(Default)]
 pub struct OutRing {
-    inner: Mutex<RingInner>,
-    drained: Condvar,
-    /// Producer-side hint that a flush request is already queued with the
-    /// reactor, so a burst of sends wakes it once, not per frame.
-    pub dirty: AtomicBool,
-}
-
-impl Default for OutRing {
-    fn default() -> Self {
-        OutRing {
-            inner: Mutex::new(RingInner {
-                frames: VecDeque::new(),
-                bytes: 0,
-                head_off: 0,
-                closed: false,
-            }),
-            drained: Condvar::new(),
-            dirty: AtomicBool::new(false),
-        }
-    }
+    frames: VecDeque<Vec<u8>>,
+    /// Bytes queued across all frames (first frame counted in full even if
+    /// partially written — the budget is an order-of-magnitude brake, not
+    /// an accounting ledger).
+    bytes: usize,
+    /// How much of the front frame has already been written.
+    head_off: usize,
 }
 
 impl OutRing {
-    /// Queues one encoded frame, blocking while the ring is over budget.
-    /// Returns the frame back if the connection closed underneath us (the
-    /// caller re-routes over a fresh connection).
-    pub fn push(&self, frame: Vec<u8>) -> Result<(), Vec<u8>> {
-        let mut g = self.inner.lock().expect("ring poisoned");
-        while g.bytes >= RING_HIGH && !g.closed {
-            g = self.drained.wait(g).expect("ring poisoned");
-        }
-        if g.closed {
-            return Err(frame);
-        }
-        g.bytes += frame.len();
-        g.frames.push_back(frame);
-        Ok(())
+    /// Queues one encoded frame. Never blocks; the caller checks
+    /// [`OutRing::over_budget`] and pauses the producer.
+    pub fn push(&mut self, frame: Vec<u8>) {
+        self.bytes += frame.len();
+        self.frames.push_back(frame);
     }
 
-    /// Queues a frame without ever blocking — used for the hello frame at
-    /// connection setup (the ring is empty then by construction).
-    pub fn push_front_unchecked(&self, frame: Vec<u8>) {
-        let mut g = self.inner.lock().expect("ring poisoned");
-        g.bytes += frame.len();
-        g.frames.push_front(frame);
+    /// At or past [`RING_HIGH`]: the producer must pause.
+    pub fn over_budget(&self) -> bool {
+        self.bytes >= RING_HIGH
+    }
+
+    /// Drained below half the budget: a paused producer may resume.
+    pub fn below_resume_mark(&self) -> bool {
+        self.bytes < RING_HIGH / 2
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.frames.is_empty()
     }
 
     /// Writes as much queued data to `w` as the socket accepts, vectored.
-    /// Called only by the connection's reactor thread.
-    pub fn drain_to(&self, w: &mut impl Write) -> io::Result<DrainOutcome> {
+    pub fn drain_to(&mut self, w: &mut impl Write) -> io::Result<DrainOutcome> {
         let mut out = DrainOutcome {
             frames: 0,
             bytes: 0,
             would_block: false,
-            pending: false,
         };
-        let mut g = self.inner.lock().expect("ring poisoned");
-        loop {
-            if g.frames.is_empty() {
-                break;
-            }
-            let mut iovs: Vec<IoSlice<'_>> = Vec::with_capacity(g.frames.len().min(MAX_IOVS));
-            let head_off = g.head_off;
-            for (i, f) in g.frames.iter().take(MAX_IOVS).enumerate() {
-                let s = if i == 0 { &f[head_off..] } else { &f[..] };
+        while !self.frames.is_empty() {
+            let mut iovs: Vec<IoSlice<'_>> = Vec::with_capacity(self.frames.len().min(MAX_IOVS));
+            for (i, f) in self.frames.iter().take(MAX_IOVS).enumerate() {
+                let s = if i == 0 { &f[self.head_off..] } else { &f[..] };
                 iovs.push(IoSlice::new(s));
             }
             let n = match w.write_vectored(&iovs) {
@@ -141,43 +105,25 @@ impl OutRing {
             // Advance the ring past the written bytes.
             let mut left = n;
             while left > 0 {
-                let head_len =
-                    g.frames.front().expect("bytes written beyond ring").len() - g.head_off;
+                let head_len = self
+                    .frames
+                    .front()
+                    .expect("bytes written beyond ring")
+                    .len()
+                    - self.head_off;
                 if left >= head_len {
                     left -= head_len;
-                    let f = g.frames.pop_front().unwrap();
-                    g.bytes -= f.len();
-                    g.head_off = 0;
+                    let f = self.frames.pop_front().unwrap();
+                    self.bytes -= f.len();
+                    self.head_off = 0;
                     out.frames += 1;
                 } else {
-                    g.head_off += left;
+                    self.head_off += left;
                     left = 0;
                 }
             }
         }
-        out.pending = !g.frames.is_empty();
-        if g.bytes < RING_HIGH / 2 {
-            self.drained.notify_all();
-        }
         Ok(out)
-    }
-
-    /// Marks the connection dead and releases any blocked producers.
-    pub fn close(&self) {
-        let mut g = self.inner.lock().expect("ring poisoned");
-        g.closed = true;
-        g.frames.clear();
-        g.bytes = 0;
-        g.head_off = 0;
-        self.drained.notify_all();
-    }
-
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().expect("ring poisoned").closed
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().expect("ring poisoned").frames.is_empty()
     }
 }
 
@@ -232,15 +178,15 @@ mod tests {
 
     #[test]
     fn ring_drains_frames_in_order_vectored() {
-        let ring = OutRing::default();
-        ring.push(encode_frame(b"alpha")).unwrap();
-        ring.push(encode_frame(b"beta")).unwrap();
-        ring.push(encode_frame(b"gamma")).unwrap();
+        let mut ring = OutRing::default();
+        ring.push(encode_frame(b"alpha"));
+        ring.push(encode_frame(b"beta"));
+        ring.push(encode_frame(b"gamma"));
         let mut sink = Vec::new();
         let out = ring.drain_to(&mut sink).unwrap();
         assert_eq!(out.frames, 3);
         assert_eq!(out.bytes as usize, sink.len());
-        assert!(!out.pending && !out.would_block);
+        assert!(ring.is_empty() && !out.would_block);
 
         let mut want = Vec::new();
         for p in [&b"alpha"[..], b"beta", b"gamma"] {
@@ -271,59 +217,51 @@ mod tests {
 
     #[test]
     fn partial_writes_resume_mid_frame() {
-        let ring = OutRing::default();
-        ring.push(encode_frame(&[7u8; 100])).unwrap();
-        ring.push(encode_frame(&[8u8; 100])).unwrap();
+        let mut ring = OutRing::default();
+        ring.push(encode_frame(&[7u8; 100]));
+        ring.push(encode_frame(&[8u8; 100]));
         let mut w = Throttled {
             cap: 50,
             got: Vec::new(),
         };
         let out = ring.drain_to(&mut w).unwrap();
         assert_eq!(out.frames, 0, "first frame only half written");
-        assert!(out.would_block && out.pending);
+        assert!(out.would_block && !ring.is_empty());
 
         w.cap = 10_000;
         let out = ring.drain_to(&mut w).unwrap();
         assert_eq!(out.frames, 2);
-        assert!(!out.pending);
+        assert!(ring.is_empty());
         let mut want = encode_frame(&[7u8; 100]);
         want.extend_from_slice(&encode_frame(&[8u8; 100]));
         assert_eq!(w.got, want, "no bytes lost or duplicated across the stall");
     }
 
+    /// Pushing never blocks; crossing the budget raises the pause signal,
+    /// and only a drain below half the budget clears it.
     #[test]
-    fn backpressure_blocks_producer_until_drained() {
-        use std::sync::Arc;
-        let ring = Arc::new(OutRing::default());
-        // Fill past the budget in one frame.
-        ring.push(encode_frame(&vec![0u8; RING_HIGH])).unwrap();
-        let r2 = ring.clone();
-        let producer = std::thread::spawn(move || {
-            // Blocks until the reactor-side drain below.
-            r2.push(encode_frame(b"late")).unwrap();
-        });
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        assert!(!producer.is_finished(), "producer must block over budget");
-        let mut sink = Vec::new();
-        ring.drain_to(&mut sink).unwrap();
-        producer.join().unwrap();
-        let mut sink2 = Vec::new();
-        let out = ring.drain_to(&mut sink2).unwrap();
-        assert_eq!(out.frames, 1, "the late frame lands after the drain");
-    }
-
-    #[test]
-    fn close_releases_blocked_producer_with_the_frame() {
-        use std::sync::Arc;
-        let ring = Arc::new(OutRing::default());
-        ring.push(encode_frame(&vec![0u8; RING_HIGH])).unwrap();
-        let r2 = ring.clone();
-        let producer = std::thread::spawn(move || r2.push(encode_frame(b"doomed")));
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        ring.close();
-        let res = producer.join().unwrap();
-        assert!(res.is_err(), "push on a closed ring returns the frame");
-        assert!(ring.is_closed());
+    fn budget_signals_pause_and_resume_with_hysteresis() {
+        let mut ring = OutRing::default();
+        ring.push(encode_frame(&vec![0u8; RING_HIGH / 4]));
+        assert!(!ring.over_budget());
+        for _ in 0..3 {
+            ring.push(encode_frame(&vec![1u8; RING_HIGH / 4]));
+        }
+        assert!(ring.over_budget(), "four quarters reach the budget");
+        ring.push(encode_frame(b"late"));
+        let mut w = Throttled {
+            cap: RING_HIGH / 4 + 4,
+            got: Vec::new(),
+        };
+        ring.drain_to(&mut w).unwrap();
+        assert!(!ring.over_budget() && !ring.below_resume_mark());
+        w.cap = RING_HIGH;
+        ring.drain_to(&mut w).unwrap();
+        assert!(ring.below_resume_mark());
+        assert!(
+            w.got.ends_with(&encode_frame(b"late")),
+            "FIFO across the pause"
+        );
     }
 
     #[test]

@@ -15,25 +15,29 @@
 //!   event-loop threads (`CONTRARIAN_NET_THREADS`, default
 //!   `available_parallelism`) drives every socket nonblocking through
 //!   hand-rolled epoll bindings ([`sys`]; `CONTRARIAN_NET_POLLER=poll`
-//!   selects the `poll(2)` fallback). One multiplexed TCP connection per
-//!   *peer pair* — frames already carry `(from, msg)`, so both directions
-//!   share a socket, with a [`conn::Hello`] handshake telling the
-//!   acceptor who called. Outbound frames queue on bounded per-connection
-//!   rings (backpressure blocks the producing node, never an unbounded
-//!   queue) and leave in vectored writes; inbound bytes reassemble
-//!   incrementally via [`contrarian_runtime::FrameAssembler`]. Dial
-//!   backoff is scheduled on reactor timers instead of slept.
-//! * **`threads`** ([`threads`] module): the original engine — one writer
-//!   thread per node, one reader thread per accepted socket, one socket
-//!   per directed link. Kept as the baseline; its O(nodes + links) thread
-//!   bill is what the reactor exists to retire.
+//!   selects the `poll(2)` fallback) and runs the nodes themselves: each
+//!   node lives on the reactor that owns its listener, which decodes an
+//!   inbound frame and calls the handler inline, so one hop costs one
+//!   thread wake-up. One multiplexed TCP connection per *peer pair* —
+//!   frames already carry `(from, msg)`, so both directions share a
+//!   socket, with a [`conn::Hello`] handshake telling the acceptor who
+//!   called. Outbound frames queue on bounded per-connection rings (a
+//!   ring over budget pauses its sending node, never the reactor) and
+//!   leave in vectored writes; inbound bytes reassemble incrementally via
+//!   [`contrarian_runtime::FrameAssembler`]. Dial backoff and actor
+//!   timers live on the reactor's timer heap. A peer sending garbage
+//!   loses its connection, never the process.
+//! * **`threads`** ([`threads`] module): the original engine — one
+//!   thread per node on the live event loop shared with
+//!   `contrarian-transport` ([`contrarian_runtime::node_loop`]), one
+//!   writer thread per node, one reader thread per accepted socket, one
+//!   socket per directed link. Kept as the baseline; its O(nodes + links)
+//!   thread bill is what the reactor exists to retire.
 //!
-//! Node state machines are identical under both: each node is an OS
-//! thread on the live event loop shared with `contrarian-transport`
-//! ([`contrarian_runtime::node_loop`]), and everything it sends is framed
-//! with the runtime's length-prefixed framing and encoded with the
-//! hand-rolled wire codec ([`contrarian_types::codec`]) — no serde, the
-//! workspace builds offline. Nagle is disabled everywhere
+//! Node state machines are identical under both, and everything a node
+//! sends is framed with the runtime's length-prefixed framing and encoded
+//! with the hand-rolled wire codec ([`contrarian_types::codec`]) — no
+//! serde, the workspace builds offline. Nagle is disabled everywhere
 //! (`TCP_NODELAY`): a latency study cannot sit behind a 40 ms coalescing
 //! timer.
 //!

@@ -1,12 +1,13 @@
 //! The event-driven reactor engine: a fixed pool of event-loop threads
-//! driving every socket in the cluster.
+//! that drive every socket in the cluster *and* run the nodes.
 //!
-//! Where the `threads` engine spends one OS thread per node for writes and
-//! one per accepted socket for reads (O(nodes + links) threads), this
-//! engine runs `CONTRARIAN_NET_THREADS` reactor threads (default: the
-//! machine's `available_parallelism`) and multiplexes *all* sockets over
-//! them through the readiness [`Poller`](crate::sys::Poller). Node state
-//! machines keep their own threads, untouched — only the I/O army is gone.
+//! Where the `threads` engine spends one OS thread per node, one writer
+//! thread per node and one reader thread per accepted socket, this engine
+//! runs `CONTRARIAN_NET_THREADS` reactor threads (default: the machine's
+//! `available_parallelism`, capped at the node count) and nothing else.
+//! Node `i` lives on reactor `i % pool`, the reactor that owns its
+//! listener; that thread calls the node's `on_start`, `on_message` and
+//! `on_timer` itself. Readiness comes from the [`Poller`].
 //!
 //! ## Connections
 //!
@@ -14,67 +15,90 @@
 //! already carry `(from, msg)`, so demultiplexing inbound traffic is free,
 //! and the acceptor learns who is on the other end from the
 //! [`Hello`](crate::conn::Hello) frame that opens every dialed connection.
-//! When node B first replies to node A, the route map finds the accepted
-//! connection A dialed and reuses it (first insertion wins, which pins
-//! each directed link to exactly one socket and preserves per-link FIFO).
-//! A simultaneous-dial race can briefly produce two sockets for a pair;
-//! each side then keeps writing on its own dial, which is correct, merely
-//! not minimal.
+//! When node B first replies to node A, B's route table finds the
+//! accepted connection A dialed and reuses it (first insertion wins, which
+//! pins each directed link to exactly one socket and preserves per-link
+//! FIFO). A simultaneous-dial race can briefly produce two sockets for a
+//! pair; each side then keeps writing on its own dial, which is correct,
+//! merely not minimal.
+//!
+//! Each end of a connection belongs to exactly one local node: the node
+//! that dialed it, or the node whose listener accepted it. That node's
+//! reactor owns the socket, so all of a node's sockets, its route table
+//! and its timers live on one thread and need no locks.
 //!
 //! ## Data flow
 //!
-//! A node thread encodes its message, pushes the frame onto the
-//! connection's bounded [`OutRing`] (blocking there is the backpressure
-//! story — no unbounded queues anywhere), and wakes the owning reactor
-//! through its inject queue + wake pipe. The reactor drains rings with
-//! vectored writes, tracks writability edge-triggered, and reassembles
-//! inbound frames incrementally with
-//! [`FrameAssembler`](contrarian_runtime::FrameAssembler), delivering them
-//! into node inboxes with `try_send` — a full inbox parks the frame and
-//! pauses reading that socket (TCP backpressure), never the reactor.
+//! A frame crosses one thread boundary per hop. As soon as the
+//! [`FrameAssembler`] yields a frame, the receiving reactor decodes it and
+//! runs the owning node's handler inline. Every message the handler sends
+//! is encoded straight onto the [`OutRing`] of the node's connection to
+//! the destination (dialing one on this thread if none is live), and the
+//! reactor drains the rings it touched with vectored writes once the
+//! dispatch batch is done. The kernel's socket wake-up of the peer's
+//! reactor is the only hand-off: no inject queue, no wake pipe, no inbox
+//! channel on the path. Actor timers sit on the reactor's timer heap.
+//!
+//! The reactor never blocks on a ring. When one of a node's rings reaches
+//! [`RING_HIGH`](crate::conn::RING_HIGH), the reactor pauses that node: it
+//! stops reading the node's sockets (so TCP flow control pushes back on
+//! whoever is sending to it), queues its due timers and injected messages,
+//! and resumes it once the ring drains below half. Each pause is counted
+//! ([`NetIoStats::backpressure_pauses`]).
+//!
+//! Messages injected from outside the cluster (`inject_op`,
+//! `NetHandle::send`, `Runtime::send`) and the shutdown request enter
+//! through the reactor's bounded inject queue plus its wake pipe — the
+//! only cross-thread path left, and the only source of wake-pipe writes
+//! ([`NetIoStats::wake_writes`]).
+//!
+//! Nothing a peer sends can panic a reactor: a corrupt frame or hello, a
+//! hello for a node that does not listen there, a frame claiming another
+//! sender, or an end of stream inside a frame closes that one connection
+//! and bumps [`NetIoStats::peer_errors`].
 //!
 //! ## Reconnects
 //!
-//! A refused dial is retried on the reactor's timer wheel with the same
+//! A refused dial is retried on the reactor's timer heap with the same
 //! exponential schedule the `threads` engine sleeps through (2 ms doubling
 //! to 250 ms, ten attempts) — but scheduled, so one unreachable peer never
 //! stalls the other connections sharing the reactor.
 
 use crate::addrbook::{AddressBook, StaticBook};
-use crate::cluster::{resume_panic, ClusterCore, NetIoStats};
+use crate::cluster::{ClusterCore, Ingress, NetIoStats, CHANNEL_CAP};
 use crate::conn::{decode_hello, hello_frame, OutRing};
 use crate::sys::{self, Event, Poller, PollerKind};
-use contrarian_runtime::actor::Actor;
-use contrarian_runtime::frame::{encode_frame, FrameAssembler};
+use contrarian_runtime::actor::{Actor, TimerKind};
+use contrarian_runtime::frame::FrameAssembler;
 use contrarian_runtime::metrics::Metrics;
-use contrarian_runtime::node_loop::{node_seed, run_node, Input, Outbound};
+use contrarian_runtime::node_loop::{node_seed, LiveNode, NodeEvent};
 use contrarian_types::codec::{from_bytes, Wire};
 use contrarian_types::Addr;
-use crossbeam::channel::{Receiver, TrySendError};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io::{self, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Token of the wake pipe on every reactor; also the "no slot yet"
-/// sentinel in [`ConnShared::slot`] (a real slot token never reaches it).
+/// Token of the wake pipe on every reactor.
 const WAKE_TOKEN: u64 = u64::MAX;
 
 /// Dial attempts before a peer is declared unreachable (same budget as the
 /// `threads` engine's `connect_with_backoff`).
 const MAX_DIAL_ATTEMPTS: u32 = 10;
 
-/// How long a full node inbox parks a frame before the retry.
-const PARK_RETRY: Duration = Duration::from_millis(1);
-
 /// How long shutdown waits for outbound rings to drain.
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
+
+/// Socket reads one connection gets per turn before the reactor moves on
+/// to its other connections (the rest waits on the ready list).
+const READS_PER_TURN: usize = 16;
 
 /// Backoff delay after the `attempts`-th consecutive dial failure:
 /// 2 ms doubling, capped at 250 ms — the schedule the `threads` engine
@@ -104,196 +128,67 @@ pub(crate) fn pool_size() -> usize {
     parse_pool(value.as_deref()).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Work handed to a reactor thread from outside (node threads, shutdown).
-enum Inject {
-    /// Dial a new outbound connection and own it from now on.
-    NewConn {
-        conn: Arc<ConnShared>,
-        from: Addr,
-        to: Addr,
-        peer: SocketAddr,
-    },
-    /// The connection's ring has data.
-    Flush(Arc<ConnShared>),
-    /// Drain what remains and exit.
-    Shutdown,
+/// Work counters of one reactor, read by [`ReactorCluster::io_stats`].
+#[derive(Default)]
+struct Counters {
+    wake_writes: AtomicU64,
+    dispatches: AtomicU64,
+    pauses: AtomicU64,
+    peer_errors: AtomicU64,
 }
 
-/// The cross-thread face of one reactor: its inject queue and wake pipe.
-pub(crate) struct ReactorShared {
-    injects: Mutex<Vec<Inject>>,
+/// The cross-thread face of one reactor: its bounded inject queue, its
+/// wake pipe, and its counters.
+pub(crate) struct ReactorShared<M> {
+    /// `(to, from, msg)` injected from outside the cluster.
+    injects: Sender<(Addr, Addr, M)>,
     wake_tx: UnixStream,
     /// Coalesces wake bytes: set by the first producer after the reactor
     /// last drained the pipe.
     wake_armed: AtomicBool,
+    /// Shutdown requested: stop the nodes, drain the rings, exit.
+    stop: AtomicBool,
+    counters: Counters,
 }
 
-impl ReactorShared {
-    fn inject(&self, inj: Inject) {
-        self.injects
-            .lock()
-            .expect("inject queue poisoned")
-            .push(inj);
+impl<M> ReactorShared<M> {
+    /// Queues a message for node `to` on this reactor, blocking while the
+    /// queue is full. Dropped if the reactor already exited.
+    pub(crate) fn inject(&self, from: Addr, to: Addr, msg: M) {
+        if self.injects.send((to, from, msg)).is_ok() {
+            self.wake();
+        }
+    }
+
+    fn shutdown(&self) {
+        self.stop.store(true, Ordering::SeqCst);
         self.wake();
     }
 
     fn wake(&self) {
         if !self.wake_armed.swap(true, Ordering::SeqCst) {
+            self.counters.wake_writes.fetch_add(1, Ordering::Relaxed);
             let _ = (&self.wake_tx).write(&[1]);
         }
     }
 }
 
-/// The cross-thread half of one connection: producers push frames into the
-/// ring; the owning reactor drains it.
-pub(crate) struct ConnShared {
-    pub(crate) ring: OutRing,
-    reactor: Arc<ReactorShared>,
-    /// Slot token on the owning reactor, [`WAKE_TOKEN`] until assigned.
-    slot: AtomicU64,
+/// Why a connection is being closed.
+enum Close {
+    /// The peer closed cleanly between frames.
+    Eof,
+    Io(io::Error),
+    /// The peer sent something that is not a valid frame stream.
+    Peer(String),
 }
 
-impl ConnShared {
-    /// Tells the owning reactor the ring has data. The dirty flag
-    /// coalesces a burst of sends into one inject.
-    pub(crate) fn flush(self: &Arc<Self>) {
-        if !self.ring.dirty.swap(true, Ordering::SeqCst) {
-            self.reactor.inject(Inject::Flush(self.clone()));
-        }
-    }
-}
-
-/// Engine-wide state: the address book, the route map, and the reactors.
-pub(crate) struct NetInner<M> {
-    pub(crate) core: Arc<ClusterCore<M>>,
-    book: Arc<dyn AddressBook>,
-    /// `(local node, remote node) → connection`. First insertion wins, so
-    /// every directed link sticks to one socket (FIFO); closed entries are
-    /// replaced on the next use.
-    routes: Mutex<HashMap<(Addr, Addr), Arc<ConnShared>>>,
-    pub(crate) reactors: Vec<Arc<ReactorShared>>,
-    next_reactor: AtomicUsize,
-    pub(crate) io_stop: AtomicBool,
-}
-
-impl<M> NetInner<M> {
-    /// The connection node `me` sends to `to` over, dialing one (round-
-    /// robin across reactors) if none is live.
-    pub(crate) fn route(&self, me: Addr, to: Addr) -> Arc<ConnShared> {
-        let mut routes = self.routes.lock().expect("route map poisoned");
-        if let Some(c) = routes.get(&(me, to)) {
-            if !c.ring.is_closed() {
-                return c.clone();
-            }
-        }
-        let peer = self
-            .book
-            .lookup(to)
-            .unwrap_or_else(|| panic!("no endpoint for {to} in the address book"));
-        let rid = self.next_reactor.fetch_add(1, Ordering::Relaxed) % self.reactors.len();
-        let conn = Arc::new(ConnShared {
-            ring: OutRing::default(),
-            reactor: self.reactors[rid].clone(),
-            slot: AtomicU64::new(WAKE_TOKEN),
-        });
-        conn.ring.push_front_unchecked(hello_frame(me, to));
-        routes.insert((me, to), conn.clone());
-        // Injected while the route lock is held so the reactor sees the
-        // NewConn before any Flush another thread could send after finding
-        // this route in the map.
-        conn.reactor.inject(Inject::NewConn {
-            conn: conn.clone(),
-            from: me,
-            to,
-            peer,
-        });
-        conn
-    }
-
-    /// Routes replies from `owner` back to `peer` over an accepted
-    /// connection, unless a live route already exists (first wins).
-    /// Returns whether this connection now owns the route.
-    fn adopt_route(&self, owner: Addr, peer: Addr, conn: &Arc<ConnShared>) -> bool {
-        let mut routes = self.routes.lock().expect("route map poisoned");
-        match routes.entry((owner, peer)) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                if e.get().ring.is_closed() {
-                    e.insert(conn.clone());
-                    true
-                } else {
-                    false
-                }
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(conn.clone());
-                true
-            }
-        }
-    }
-
-    /// Removes a route, but only if it still points at this connection.
-    fn drop_route(&self, key: (Addr, Addr), conn: &Arc<ConnShared>) {
-        let mut routes = self.routes.lock().expect("route map poisoned");
-        if routes.get(&key).is_some_and(|c| Arc::ptr_eq(c, conn)) {
-            routes.remove(&key);
-        }
-    }
-
-    fn quiet(&self) -> bool {
-        self.io_stop.load(Ordering::SeqCst) || self.core.run.stopped.load(Ordering::SeqCst)
-    }
-}
-
-/// The [`Outbound`] of this engine: encode on the sending node's thread,
-/// push onto the pair's ring, wake the owning reactor. Routes are cached
-/// per node thread; a closed connection invalidates the cache entry and
-/// the second attempt dials fresh.
-struct ReactorOutbound<M> {
-    me: Addr,
-    net: Arc<NetInner<M>>,
-    cache: HashMap<Addr, Arc<ConnShared>>,
-    buf: Vec<u8>,
-}
-
-impl<M: Wire + Send + 'static> Outbound<M> for ReactorOutbound<M> {
-    fn deliver(&mut self, _from: Addr, to: Addr, msg: M) {
-        self.buf.clear();
-        self.me.encode(&mut self.buf);
-        msg.encode(&mut self.buf);
-        let mut frame = encode_frame(&self.buf);
-        for _ in 0..2 {
-            let conn = match self.cache.get(&to) {
-                Some(c) if !c.ring.is_closed() => c.clone(),
-                _ => {
-                    let c = self.net.route(self.me, to);
-                    self.cache.insert(to, c.clone());
-                    c
-                }
-            };
-            match conn.ring.push(frame) {
-                Ok(()) => {
-                    conn.flush();
-                    return;
-                }
-                Err(f) => {
-                    // The link died under us: invalidate and retry once
-                    // over a fresh dial (mirrors the threads engine's
-                    // drop-and-reconnect on write error).
-                    frame = f;
-                    self.cache.remove(&to);
-                    self.net.drop_route((self.me, to), &conn);
-                }
-            }
-        }
-        if !self.net.quiet() {
-            eprintln!("net: dropping frame {} -> {to}: link closed", self.me);
-        }
+impl From<io::Error> for Close {
+    fn from(e: io::Error) -> Self {
+        Close::Io(e)
     }
 }
 
 struct Dial {
-    from: Addr,
-    to: Addr,
     peer: SocketAddr,
     attempts: u32,
 }
@@ -306,74 +201,164 @@ enum ConnState {
     Established,
 }
 
-/// Reactor-local per-connection state.
-struct Conn<M> {
-    shared: Arc<ConnShared>,
+/// One end of a connection, owned by the reactor of its local node.
+struct Conn {
     stream: Option<TcpStream>,
     state: ConnState,
+    ring: OutRing,
     assembler: FrameAssembler,
     /// Armed by a writability edge, disarmed by a short write.
     can_write: bool,
     /// Armed by a readability edge, disarmed by `WouldBlock`.
     readable: bool,
-    /// A decoded frame the owner's full inbox bounced; retried on a timer
-    /// while reading this socket stays paused.
-    parked: Option<Input<M>>,
-    /// The local node inbound frames belong to (`None` on an accepted
-    /// connection until its hello arrives).
-    owner: Option<Addr>,
-    /// Route-map entry this connection owns, removed when it dies.
-    route_key: Option<(Addr, Addr)>,
+    /// The local node (index into [`Reactor::nodes`]) this end belongs to:
+    /// inbound frames are for it, outbound frames are from it.
+    owner: usize,
+    /// The node at the other end (`None` on an accepted connection until
+    /// its hello arrives).
+    peer: Option<Addr>,
+    /// Whether the owner's route to `peer` points at this connection.
+    routed: bool,
     /// Dial/redial info (outbound connections only).
     dial: Option<Dial>,
     /// Wire-stat bytes to not count once the hello frame drains.
     hello_debit: u64,
+    /// Already on the reactor's dirty list.
+    flush_queued: bool,
+    /// The ring is over budget and holds its owner paused.
+    over: bool,
 }
 
-enum EntryKind<M> {
-    Listener { addr: Addr, listener: TcpListener },
-    Conn(Conn<M>),
+enum Entry {
+    Listener { node: usize, listener: TcpListener },
+    Conn(Conn),
 }
 
-struct Slot<M> {
+struct Slot {
     gen: u32,
-    entry: Option<EntryKind<M>>,
+    entry: Option<Entry>,
 }
 
 fn token_of(gen: u32, idx: usize) -> u64 {
     ((gen as u64) << 32) | idx as u64
 }
 
-/// One reactor thread's world: poller, slab, timers, inject queue.
-struct Reactor<M: Wire + Send + 'static> {
-    net: Arc<NetInner<M>>,
-    shared: Arc<ReactorShared>,
+/// A node as its reactor runs it.
+struct Node<A: Actor> {
+    live: LiveNode<A>,
+    /// `peer → connection token`. First insertion wins, so every directed
+    /// link sticks to one socket (FIFO); dead entries are replaced on the
+    /// next send.
+    routes: HashMap<Addr, u64>,
+    /// How many of its rings are over budget; dispatch pauses while > 0.
+    over: u32,
+    /// Timers that came due and messages injected while paused, in
+    /// arrival order.
+    backlog: VecDeque<NodeEvent<A::Msg>>,
+}
+
+impl<A: Actor> Node<A> {
+    /// Paused, or still owing backlog from a pause: new timers and
+    /// injections queue behind it to keep their order.
+    fn backlogged(&self) -> bool {
+        self.over > 0 || !self.backlog.is_empty()
+    }
+}
+
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+enum DueKind {
+    /// Retry the dial of the connection behind this token.
+    Redial(u64),
+    /// Fire an actor timer on node `.0`.
+    Actor(usize, TimerKind),
+}
+
+/// One entry of the reactor's timer heap, ordered by deadline, then by
+/// arming order (`seq` is unique, so `what` never decides).
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct Due {
+    when: Instant,
+    seq: u64,
+    what: DueKind,
+}
+
+/// Mutable access to the connection in slot `idx`, if it holds one.
+fn conn_mut(slots: &mut [Slot], idx: usize) -> Option<&mut Conn> {
+    match slots.get_mut(idx).and_then(|s| s.entry.as_mut()) {
+        Some(Entry::Conn(c)) => Some(c),
+        _ => None,
+    }
+}
+
+/// One reactor thread's world: poller, slab, nodes, timers, inject queue.
+struct Reactor<A: Actor> {
+    core: Arc<ClusterCore<A::Msg>>,
+    book: Arc<dyn AddressBook>,
+    shared: Arc<ReactorShared<A::Msg>>,
+    injects: Receiver<(Addr, Addr, A::Msg)>,
     wake_rx: UnixStream,
     poller: Poller,
-    slots: Vec<Slot<M>>,
+    slots: Vec<Slot>,
     free: Vec<usize>,
-    /// `(deadline, token)` — dial backoffs and park retries.
-    timers: BinaryHeap<Reverse<(Instant, u64)>>,
+    nodes: Vec<Node<A>>,
+    node_index: HashMap<Addr, usize>,
+    timers: BinaryHeap<Reverse<Due>>,
+    timer_seq: u64,
+    /// Connections with queued output, flushed after each dispatch batch.
+    dirty: Vec<u64>,
+    /// Connections to read on the next turn (new, resumed, or cut off by
+    /// [`READS_PER_TURN`]).
+    ready: Vec<u64>,
+    /// Nodes whose last over-budget ring drained: their backlog runs on
+    /// the next turn.
+    resumed: Vec<usize>,
+    /// Backlog entries across all nodes; the inject queue is left alone
+    /// (so its producers block) while this is at capacity.
+    held: usize,
+    /// The inject queue may hold messages the reactor left there.
+    injects_pending: bool,
+    /// Reused handler output buffers.
+    sent: Vec<(Addr, A::Msg)>,
+    armed: Vec<(u64, TimerKind)>,
     read_buf: Box<[u8]>,
     shutting_down: bool,
     drain_deadline: Option<Instant>,
 }
 
-impl<M: Wire + Send + 'static> Reactor<M> {
+impl<A> Reactor<A>
+where
+    A: Actor,
+    A::Msg: Wire,
+{
     fn new(
-        net: Arc<NetInner<M>>,
-        shared: Arc<ReactorShared>,
+        core: Arc<ClusterCore<A::Msg>>,
+        book: Arc<dyn AddressBook>,
+        shared: Arc<ReactorShared<A::Msg>>,
+        injects: Receiver<(Addr, Addr, A::Msg)>,
         wake_rx: UnixStream,
-        listeners: Vec<(Addr, TcpListener)>,
-    ) -> Reactor<M> {
+        nodes: Vec<(Addr, A, TcpListener)>,
+        seed: u64,
+    ) -> Self {
         let mut r = Reactor {
-            net,
+            core,
+            book,
             shared,
+            injects,
             wake_rx,
             poller: Poller::new(PollerKind::from_env()).expect("create poller"),
             slots: Vec::new(),
             free: Vec::new(),
+            nodes: Vec::new(),
+            node_index: HashMap::new(),
             timers: BinaryHeap::new(),
+            timer_seq: 0,
+            dirty: Vec::new(),
+            ready: Vec::new(),
+            resumed: Vec::new(),
+            held: 0,
+            injects_pending: false,
+            sent: Vec::new(),
+            armed: Vec::new(),
             read_buf: vec![0u8; 64 * 1024].into_boxed_slice(),
             shutting_down: false,
             drain_deadline: None,
@@ -381,15 +366,26 @@ impl<M: Wire + Send + 'static> Reactor<M> {
         r.poller
             .register(r.wake_rx.as_raw_fd(), WAKE_TOKEN)
             .expect("register wake pipe");
-        for (addr, listener) in listeners {
+        for (addr, actor, listener) in nodes {
+            let n = r.nodes.len();
+            r.node_index.insert(addr, n);
+            r.nodes.push(Node {
+                live: LiveNode::new(addr, actor, node_seed(seed, addr)),
+                routes: HashMap::new(),
+                over: 0,
+                backlog: VecDeque::new(),
+            });
+            listener
+                .set_nonblocking(true)
+                .expect("listener nonblocking");
             let fd = listener.as_raw_fd();
-            let token = r.alloc(EntryKind::Listener { addr, listener });
+            let token = r.alloc(Entry::Listener { node: n, listener });
             r.poller.register(fd, token).expect("register listener");
         }
         r
     }
 
-    fn alloc(&mut self, entry: EntryKind<M>) -> u64 {
+    fn alloc(&mut self, entry: Entry) -> u64 {
         let idx = self.free.pop().unwrap_or_else(|| {
             self.slots.push(Slot {
                 gen: 0,
@@ -402,7 +398,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
     }
 
     /// Resolves a token to its slot index, rejecting stale generations
-    /// (a timer or inject for a connection that already died).
+    /// (a timer or route for a connection that already died).
     fn resolve(&self, token: u64) -> Option<usize> {
         let idx = (token & 0xffff_ffff) as usize;
         let gen = (token >> 32) as u32;
@@ -410,17 +406,25 @@ impl<M: Wire + Send + 'static> Reactor<M> {
             .then_some(idx)
     }
 
-    fn run(mut self) {
+    fn token(&self, idx: usize) -> u64 {
+        token_of(self.slots[idx].gen, idx)
+    }
+
+    fn quiet(&self) -> bool {
+        self.shutting_down || self.core.run.stopped.load(Ordering::SeqCst)
+    }
+
+    fn run(mut self) -> Vec<(Addr, A, Metrics)> {
+        for n in 0..self.nodes.len() {
+            self.dispatch(n, NodeEvent::Start);
+        }
         let mut events: Vec<Event> = Vec::new();
         loop {
-            // Fire due timers.
-            let now = Instant::now();
-            while let Some(&Reverse((when, token))) = self.timers.peek() {
-                if when > now {
-                    break;
-                }
-                self.timers.pop();
-                self.handle_timer(token);
+            self.fire_timers();
+            self.run_ready();
+            self.flush();
+            if !self.shutting_down && self.shared.stop.load(Ordering::SeqCst) {
+                self.begin_shutdown();
             }
             if self.shutting_down {
                 let expired = self.drain_deadline.is_some_and(|d| Instant::now() >= d);
@@ -428,13 +432,18 @@ impl<M: Wire + Send + 'static> Reactor<M> {
                     break;
                 }
             }
-            let mut timeout = if self.shutting_down {
+            let busy = !self.ready.is_empty()
+                || !self.resumed.is_empty()
+                || (self.injects_pending && self.held < CHANNEL_CAP);
+            let mut timeout = if busy {
+                Duration::ZERO
+            } else if self.shutting_down {
                 Duration::from_millis(10)
             } else {
                 Duration::from_millis(100)
             };
-            if let Some(&Reverse((when, _))) = self.timers.peek() {
-                timeout = timeout.min(when.saturating_duration_since(Instant::now()));
+            if let Some(Reverse(due)) = self.timers.peek() {
+                timeout = timeout.min(due.when.saturating_duration_since(Instant::now()));
             }
             events.clear();
             self.poller
@@ -443,18 +452,31 @@ impl<M: Wire + Send + 'static> Reactor<M> {
             for ev in events.drain(..) {
                 if ev.token == WAKE_TOKEN {
                     self.drain_wake();
-                    self.handle_injects();
+                    self.take_injects();
                 } else {
                     self.handle_event(ev);
                 }
             }
         }
-        // Teardown: release any producer still blocked on a ring.
-        for slot in &self.slots {
-            if let Some(EntryKind::Conn(c)) = &slot.entry {
-                c.shared.ring.close();
-            }
+        self.nodes
+            .into_iter()
+            .map(|n| {
+                let addr = n.live.addr();
+                let (actor, metrics) = n.live.into_parts();
+                (addr, actor, metrics)
+            })
+            .collect()
+    }
+
+    /// Stops every node on this reactor: no more handlers run, backlogs
+    /// are dropped, and the loop only drains what is already queued.
+    fn begin_shutdown(&mut self) {
+        self.shutting_down = true;
+        self.drain_deadline = Some(Instant::now() + DRAIN_GRACE);
+        for node in &mut self.nodes {
+            node.backlog.clear();
         }
+        self.held = 0;
     }
 
     /// Anything still owed to the wire? (Connections mid-dial are not
@@ -463,11 +485,10 @@ impl<M: Wire + Send + 'static> Reactor<M> {
         self.slots.iter().any(|s| {
             matches!(
                 &s.entry,
-                Some(EntryKind::Conn(c))
+                Some(Entry::Conn(c))
                     if matches!(c.state, ConnState::Established)
                         && c.stream.is_some()
-                        && !c.shared.ring.is_closed()
-                        && !c.shared.ring.is_empty()
+                        && !c.ring.is_empty()
             )
         })
     }
@@ -490,131 +511,293 @@ impl<M: Wire + Send + 'static> Reactor<M> {
         self.shared.wake_armed.store(false, Ordering::SeqCst);
     }
 
-    fn handle_injects(&mut self) {
-        loop {
-            let batch =
-                std::mem::take(&mut *self.shared.injects.lock().expect("inject queue poisoned"));
-            if batch.is_empty() {
+    /// Delivers queued injections, leaving the rest in the queue while the
+    /// backlogs are at capacity.
+    fn take_injects(&mut self) {
+        self.injects_pending = false;
+        while self.held < CHANNEL_CAP {
+            let Ok((to, from, msg)) = self.injects.try_recv() else {
                 return;
+            };
+            if self.shutting_down {
+                continue; // the node has stopped
             }
-            for inj in batch {
-                match inj {
-                    Inject::NewConn {
-                        conn,
-                        from,
-                        to,
-                        peer,
-                    } => {
-                        let hello_debit = hello_frame(from, to).len() as u64;
-                        let token = self.alloc(EntryKind::Conn(Conn {
-                            shared: conn.clone(),
-                            stream: None,
-                            state: ConnState::Backoff,
-                            assembler: FrameAssembler::new(),
-                            can_write: false,
-                            readable: false,
-                            parked: None,
-                            owner: Some(from),
-                            route_key: Some((from, to)),
-                            dial: Some(Dial {
-                                from,
-                                to,
-                                peer,
-                                attempts: 0,
-                            }),
-                            hello_debit,
-                        }));
-                        conn.slot.store(token, Ordering::SeqCst);
-                        self.service(token, |r, token, c| r.dial(token, c));
-                    }
-                    Inject::Flush(cs) => {
-                        // Cleared before draining: frames pushed after the
-                        // drain re-arm it and inject a fresh flush.
-                        cs.ring.dirty.store(false, Ordering::SeqCst);
-                        let token = cs.slot.load(Ordering::SeqCst);
-                        if token != WAKE_TOKEN {
-                            self.service(token, |r, _, c| r.drain_ring(c).map(|_| true));
-                        }
-                    }
-                    Inject::Shutdown => {
-                        self.shutting_down = true;
-                        self.drain_deadline = Some(Instant::now() + DRAIN_GRACE);
+            let Some(&n) = self.node_index.get(&to) else {
+                continue;
+            };
+            self.deliver(n, NodeEvent::Msg { from, msg });
+        }
+        self.injects_pending = true;
+    }
+
+    /// Runs one handler of node `n` and moves what it produced: timers
+    /// onto the heap, sends onto the connection rings.
+    fn dispatch(&mut self, n: usize, ev: NodeEvent<A::Msg>) {
+        let mut sent = std::mem::take(&mut self.sent);
+        let mut armed = std::mem::take(&mut self.armed);
+        self.nodes[n]
+            .live
+            .handle(&self.core.run, ev, &mut sent, &mut armed);
+        if !armed.is_empty() {
+            let now = Instant::now();
+            for (delay_ns, kind) in armed.drain(..) {
+                self.timer_seq += 1;
+                self.timers.push(Reverse(Due {
+                    when: now + Duration::from_nanos(delay_ns),
+                    seq: self.timer_seq,
+                    what: DueKind::Actor(n, kind),
+                }));
+            }
+        }
+        for (to, msg) in sent.drain(..) {
+            self.send(n, to, msg);
+        }
+        self.sent = sent;
+        self.armed = armed;
+    }
+
+    /// Encodes `msg` from node `n` straight onto its connection to `to`,
+    /// dialing one if no live route exists.
+    fn send(&mut self, n: usize, to: Addr, msg: A::Msg) {
+        // The frame: u32 LE payload length, then `(from, msg)`.
+        let mut frame = Vec::with_capacity(64);
+        frame.extend_from_slice(&[0; 4]);
+        self.nodes[n].live.addr().encode(&mut frame);
+        msg.encode(&mut frame);
+        let len = (frame.len() - 4) as u32;
+        frame[..4].copy_from_slice(&len.to_le_bytes());
+
+        let routed = self.nodes[n].routes.get(&to).copied();
+        let idx = match routed.and_then(|t| self.resolve(t)) {
+            Some(idx) => idx,
+            None => self.open(n, to),
+        };
+        let token = self.token(idx);
+        let Some(conn) = conn_mut(&mut self.slots, idx) else {
+            return; // the fresh dial died at once (shutting down)
+        };
+        conn.ring.push(frame);
+        if !conn.flush_queued {
+            conn.flush_queued = true;
+            self.dirty.push(token);
+        }
+        if !conn.over && conn.ring.over_budget() {
+            conn.over = true;
+            self.pause(n);
+        }
+    }
+
+    /// Opens node `n`'s connection to `to` and makes it the route.
+    fn open(&mut self, n: usize, to: Addr) -> usize {
+        let me = self.nodes[n].live.addr();
+        let peer = self
+            .book
+            .lookup(to)
+            .unwrap_or_else(|| panic!("no endpoint for {to} in the address book"));
+        let hello = hello_frame(me, to);
+        let hello_debit = hello.len() as u64;
+        let mut ring = OutRing::default();
+        ring.push(hello);
+        let token = self.alloc(Entry::Conn(Conn {
+            stream: None,
+            state: ConnState::Backoff,
+            ring,
+            assembler: FrameAssembler::new(),
+            can_write: false,
+            readable: false,
+            owner: n,
+            peer: Some(to),
+            routed: true,
+            dial: Some(Dial { peer, attempts: 0 }),
+            hello_debit,
+            flush_queued: false,
+            over: false,
+        }));
+        self.nodes[n].routes.insert(to, token);
+        let idx = (token & 0xffff_ffff) as usize;
+        self.dial(idx);
+        idx
+    }
+
+    /// One more of node `n`'s rings is over budget.
+    fn pause(&mut self, n: usize) {
+        self.nodes[n].over += 1;
+        if self.nodes[n].over == 1 {
+            self.shared.counters.pauses.fetch_add(1, Ordering::Relaxed);
+            self.set_node_reads(n, false);
+        }
+    }
+
+    /// One of node `n`'s over-budget rings drained or died.
+    fn unpause(&mut self, n: usize) {
+        self.nodes[n].over -= 1;
+        if self.nodes[n].over == 0 {
+            self.set_node_reads(n, true);
+            self.resumed.push(n);
+        }
+    }
+
+    /// Read interest on every socket of node `n` (matters for the
+    /// level-triggered poll backend only).
+    fn set_node_reads(&mut self, n: usize, on: bool) {
+        for slot in &self.slots {
+            if let Some(Entry::Conn(c)) = &slot.entry {
+                if c.owner == n {
+                    if let Some(s) = &c.stream {
+                        self.poller.set_read_interest(s.as_raw_fd(), on);
                     }
                 }
             }
         }
     }
 
-    /// Runs `f` on the connection behind `token` (taking it out of the
-    /// slab for the duration), then keeps or buries it by the outcome.
-    fn service(
-        &mut self,
-        token: u64,
-        f: impl FnOnce(&mut Self, u64, &mut Conn<M>) -> io::Result<bool>,
-    ) {
-        let Some(idx) = self.resolve(token) else {
-            return;
-        };
-        let Some(EntryKind::Conn(mut conn)) = self.slots[idx].entry.take() else {
-            return;
-        };
-        match f(self, token, &mut conn) {
-            Ok(true) => self.slots[idx].entry = Some(EntryKind::Conn(conn)),
-            Ok(false) => self.kill(idx, conn, None),
-            Err(e) => self.kill(idx, conn, Some(e)),
+    /// Dispatches a timer or an injected message to node `n`, or queues
+    /// it on the node's backlog while the node is paused.
+    fn deliver(&mut self, n: usize, ev: NodeEvent<A::Msg>) {
+        if self.nodes[n].backlogged() {
+            self.nodes[n].backlog.push_back(ev);
+            self.held += 1;
+        } else {
+            self.dispatch(n, ev);
         }
     }
 
-    fn kill(&mut self, idx: usize, conn: Conn<M>, err: Option<io::Error>) {
-        if let Some(e) = &err {
-            if !self.net.quiet() {
-                let label = match (&conn.dial, conn.owner) {
-                    (Some(d), _) => format!("{} -> {}", d.from, d.to),
-                    (None, Some(o)) => format!("into {o}"),
-                    (None, None) => "accepted (pre-hello)".to_string(),
-                };
-                eprintln!("net: link {label} died mid-run: {e}");
+    /// Runs a resumed node's backlog in arrival order, then queues its
+    /// sockets for reading.
+    fn resume(&mut self, n: usize) {
+        while self.nodes[n].over == 0 {
+            let Some(ev) = self.nodes[n].backlog.pop_front() else {
+                break;
+            };
+            self.held -= 1;
+            self.dispatch(n, ev);
+        }
+        if self.nodes[n].over == 0 {
+            for (idx, slot) in self.slots.iter().enumerate() {
+                if matches!(&slot.entry, Some(Entry::Conn(c)) if c.owner == n) {
+                    self.ready.push(token_of(slot.gen, idx));
+                }
             }
         }
-        conn.shared.ring.close();
-        if let Some(key) = conn.route_key {
-            self.net.drop_route(key, &conn.shared);
+    }
+
+    fn fire_timers(&mut self) {
+        let now = Instant::now();
+        while self.timers.peek().is_some_and(|Reverse(d)| d.when <= now) {
+            let Reverse(due) = self.timers.pop().expect("peeked");
+            match due.what {
+                DueKind::Redial(token) => {
+                    if let Some(idx) = self.resolve(token) {
+                        self.dial(idx);
+                    }
+                }
+                DueKind::Actor(n, kind) => {
+                    if !self.shutting_down {
+                        self.deliver(n, NodeEvent::Timer(kind));
+                    }
+                }
+            }
+        }
+    }
+
+    /// One turn over the work queued outside the poller: resumed nodes,
+    /// connections with unread input, and injections left in the queue.
+    fn run_ready(&mut self) {
+        for n in std::mem::take(&mut self.resumed) {
+            if !self.shutting_down && self.nodes[n].over == 0 {
+                self.resume(n);
+            }
+        }
+        for token in std::mem::take(&mut self.ready) {
+            if let Some(idx) = self.resolve(token) {
+                if let Err(close) = self.service_read(idx) {
+                    self.kill(idx, close);
+                }
+            }
+        }
+        if self.injects_pending && self.held < CHANNEL_CAP {
+            self.take_injects();
+        }
+    }
+
+    /// Drains every ring the batch touched.
+    fn flush(&mut self) {
+        while let Some(token) = self.dirty.pop() {
+            let Some(idx) = self.resolve(token) else {
+                continue;
+            };
+            if let Some(conn) = conn_mut(&mut self.slots, idx) {
+                conn.flush_queued = false;
+            }
+            if let Err(close) = self.drain_ring(idx) {
+                self.kill(idx, close);
+            }
+        }
+    }
+
+    fn kill(&mut self, idx: usize, close: Close) {
+        let Some(Entry::Conn(conn)) = self.slots[idx].entry.take() else {
+            return;
+        };
+        let me = self.nodes[conn.owner].live.addr();
+        let label = match conn.peer {
+            Some(p) => format!("{me} <-> {p}"),
+            None => format!("into {me} (before its hello)"),
+        };
+        match close {
+            Close::Eof => {}
+            Close::Io(e) => {
+                if !self.quiet() {
+                    eprintln!("net: link {label} died mid-run: {e}");
+                }
+            }
+            Close::Peer(why) => {
+                self.shared
+                    .counters
+                    .peer_errors
+                    .fetch_add(1, Ordering::Relaxed);
+                if !self.quiet() {
+                    eprintln!("net: closing link {label}: {why}");
+                }
+            }
+        }
+        let token = self.token(idx);
+        if let (true, Some(p)) = (conn.routed, conn.peer) {
+            let routes = &mut self.nodes[conn.owner].routes;
+            if routes.get(&p) == Some(&token) {
+                routes.remove(&p);
+            }
         }
         if let Some(s) = &conn.stream {
             self.poller.deregister(s.as_raw_fd());
         }
         self.slots[idx].gen = self.slots[idx].gen.wrapping_add(1);
-        self.slots[idx].entry = None;
         self.free.push(idx);
-    }
-
-    fn handle_timer(&mut self, token: u64) {
-        self.service(token, |r, token, c| match c.state {
-            ConnState::Backoff => r.dial(token, c),
-            _ => r.service_read(token, c),
-        });
+        if conn.over {
+            // Its queued frames are lost with the link; the node goes on.
+            self.unpause(conn.owner);
+        }
     }
 
     fn handle_event(&mut self, ev: Event) {
         let Some(idx) = self.resolve(ev.token) else {
             return;
         };
-        // Listeners are handled in place (accepting allocates new slots,
-        // so the listener entry is taken out for the duration).
-        if matches!(self.slots[idx].entry, Some(EntryKind::Listener { .. })) {
-            let Some(EntryKind::Listener { addr, listener }) = self.slots[idx].entry.take() else {
-                unreachable!()
-            };
+        if matches!(self.slots[idx].entry, Some(Entry::Listener { .. })) {
             if ev.readable || ev.error {
-                self.accept_all(addr, &listener);
+                self.accept_all(idx);
             }
-            self.slots[idx].entry = Some(EntryKind::Listener { addr, listener });
             return;
         }
-        self.service(ev.token, |r, token, c| r.conn_event(token, ev, c));
+        if let Err(close) = self.conn_event(idx, ev) {
+            self.kill(idx, close);
+        }
     }
 
-    fn conn_event(&mut self, token: u64, ev: Event, conn: &mut Conn<M>) -> io::Result<bool> {
+    fn conn_event(&mut self, idx: usize, ev: Event) -> Result<(), Close> {
+        let Some(conn) = conn_mut(&mut self.slots, idx) else {
+            return Ok(());
+        };
         if matches!(conn.state, ConnState::Connecting) && (ev.writable || ev.error) {
             let fd = conn
                 .stream
@@ -622,135 +805,187 @@ impl<M: Wire + Send + 'static> Reactor<M> {
                 .expect("connecting has a stream")
                 .as_raw_fd();
             match sys::take_socket_error(fd) {
-                Ok(()) => return self.establish(token, conn),
+                Ok(()) => self.establish(idx),
                 Err(e) => {
                     self.poller.deregister(fd);
                     conn.stream = None;
-                    return self.dial_failed(token, conn, e);
+                    self.dial_failed(idx, e);
+                    return Ok(());
                 }
             }
         }
+        let Some(conn) = conn_mut(&mut self.slots, idx) else {
+            return Ok(());
+        };
         if matches!(conn.state, ConnState::Established) {
             if ev.writable {
                 conn.can_write = true;
-                self.drain_ring(conn)?;
+                self.drain_ring(idx)?;
             }
             if ev.readable || ev.error {
-                conn.readable = true;
-                return self.service_read(token, conn);
+                if let Some(conn) = conn_mut(&mut self.slots, idx) {
+                    conn.readable = true;
+                }
+                self.service_read(idx)?;
             }
         }
-        Ok(true)
+        Ok(())
     }
 
-    fn accept_all(&mut self, addr: Addr, listener: &TcpListener) {
+    fn accept_all(&mut self, idx: usize) {
+        let Some(Entry::Listener { node, listener }) = &self.slots[idx].entry else {
+            return;
+        };
+        let node = *node;
+        let mut accepted = Vec::new();
         loop {
             match listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(true).expect("accepted nonblocking");
-                    stream
-                        .set_nodelay(true)
-                        .expect("TCP_NODELAY must be settable");
-                    self.net.core.wire.on_socket();
-                    let shared = Arc::new(ConnShared {
-                        ring: OutRing::default(),
-                        reactor: self.shared.clone(),
-                        slot: AtomicU64::new(WAKE_TOKEN),
-                    });
-                    let fd = stream.as_raw_fd();
-                    let token = self.alloc(EntryKind::Conn(Conn {
-                        shared: shared.clone(),
-                        stream: Some(stream),
-                        state: ConnState::Established,
-                        assembler: FrameAssembler::new(),
-                        can_write: true,
-                        readable: true,
-                        parked: None,
-                        owner: None, // learned from the hello
-                        route_key: None,
-                        dial: None,
-                        hello_debit: 0,
-                    }));
-                    shared.slot.store(token, Ordering::SeqCst);
-                    if let Err(e) = self.poller.register(fd, token) {
-                        panic!("register accepted socket on {addr}: {e}");
-                    }
-                    // The socket may already hold the hello (registration
-                    // delivers the initial edge, but serve it now anyway).
-                    self.service(token, |r, token, c| r.service_read(token, c));
-                }
+                Ok((stream, _)) => accepted.push(stream),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => {
-                    if self.net.io_stop.load(Ordering::SeqCst) {
+                    if self.shutting_down {
                         break;
                     }
-                    panic!("accept on {addr}: {e}");
+                    panic!("accept on {}: {e}", self.nodes[node].live.addr());
                 }
             }
         }
+        for stream in accepted {
+            stream.set_nonblocking(true).expect("accepted nonblocking");
+            stream
+                .set_nodelay(true)
+                .expect("TCP_NODELAY must be settable");
+            self.core.wire.on_socket();
+            let fd = stream.as_raw_fd();
+            let token = self.alloc(Entry::Conn(Conn {
+                stream: Some(stream),
+                state: ConnState::Established,
+                ring: OutRing::default(),
+                assembler: FrameAssembler::new(),
+                can_write: true,
+                readable: true,
+                owner: node,
+                peer: None, // learned from the hello
+                routed: false,
+                dial: None,
+                hello_debit: 0,
+                flush_queued: false,
+                over: false,
+            }));
+            if let Err(e) = self.poller.register(fd, token) {
+                panic!("register accepted socket: {e}");
+            }
+            if self.nodes[node].over > 0 {
+                self.poller.set_read_interest(fd, false);
+            }
+            // The socket may already hold the hello.
+            self.ready.push(token);
+        }
     }
 
-    fn dial(&mut self, token: u64, conn: &mut Conn<M>) -> io::Result<bool> {
+    /// Starts (or retries) the nonblocking connect of the connection in
+    /// slot `idx`.
+    fn dial(&mut self, idx: usize) {
+        let token = self.token(idx);
+        let Some(conn) = conn_mut(&mut self.slots, idx) else {
+            return;
+        };
+        if !matches!(conn.state, ConnState::Backoff) {
+            return;
+        }
         let peer = conn.dial.as_ref().expect("dial info").peer;
-        match sys::connect_nonblocking(peer) {
+        let err = match sys::connect_nonblocking(peer) {
             Ok((stream, done)) => {
                 let fd = stream.as_raw_fd();
-                self.poller.register(fd, token)?;
-                conn.stream = Some(stream);
-                if done {
-                    self.establish(token, conn)
-                } else {
-                    conn.state = ConnState::Connecting;
-                    self.poller.set_write_interest(fd, true);
-                    Ok(true)
+                match self.poller.register(fd, token) {
+                    Ok(()) => {
+                        conn.stream = Some(stream);
+                        if done {
+                            self.establish(idx);
+                        } else {
+                            conn.state = ConnState::Connecting;
+                            self.poller.set_write_interest(fd, true);
+                        }
+                        return;
+                    }
+                    Err(e) => e,
                 }
             }
-            Err(e) => self.dial_failed(token, conn, e),
-        }
+            Err(e) => e,
+        };
+        self.dial_failed(idx, err);
     }
 
-    fn dial_failed(&mut self, token: u64, conn: &mut Conn<M>, err: io::Error) -> io::Result<bool> {
-        if self.net.io_stop.load(Ordering::SeqCst) {
-            return Ok(false);
+    fn dial_failed(&mut self, idx: usize, err: io::Error) {
+        if self.shutting_down {
+            self.kill(idx, Close::Eof);
+            return;
         }
+        let token = self.token(idx);
+        let Some(conn) = conn_mut(&mut self.slots, idx) else {
+            return;
+        };
         let d = conn.dial.as_mut().expect("dial info");
         d.attempts += 1;
         if d.attempts >= MAX_DIAL_ATTEMPTS {
-            conn.shared.ring.close();
-            if let Some(key) = conn.route_key {
-                self.net.drop_route(key, &conn.shared);
-            }
             panic!(
-                "connect {} -> {} ({}): {err} (after {} attempts)",
-                d.from, d.to, d.peer, d.attempts
+                "connect {} -> {:?} ({}): {err} (after {} attempts)",
+                self.nodes[conn.owner].live.addr(),
+                conn.peer,
+                d.peer,
+                d.attempts
             );
         }
         conn.state = ConnState::Backoff;
-        self.timers
-            .push(Reverse((Instant::now() + backoff_delay(d.attempts), token)));
-        Ok(true)
+        let when = Instant::now() + backoff_delay(d.attempts);
+        self.timer_seq += 1;
+        self.timers.push(Reverse(Due {
+            when,
+            seq: self.timer_seq,
+            what: DueKind::Redial(token),
+        }));
     }
 
-    fn establish(&mut self, token: u64, conn: &mut Conn<M>) -> io::Result<bool> {
-        conn.state = ConnState::Established;
-        conn.can_write = true;
-        conn.readable = true;
-        self.net.core.wire.on_socket();
-        self.drain_ring(conn)?;
-        self.service_read(token, conn)
+    /// The connect completed: queue the ring (hello first) for the next
+    /// flush and the socket for reading.
+    fn establish(&mut self, idx: usize) {
+        let token = self.token(idx);
+        let paused = {
+            let Some(conn) = conn_mut(&mut self.slots, idx) else {
+                return;
+            };
+            conn.state = ConnState::Established;
+            conn.can_write = true;
+            conn.readable = true;
+            conn.flush_queued = true;
+            self.nodes[conn.owner].over > 0
+        };
+        if paused {
+            if let Some(s) = conn_mut(&mut self.slots, idx).and_then(|c| c.stream.as_ref()) {
+                self.poller.set_read_interest(s.as_raw_fd(), false);
+            }
+        }
+        self.core.wire.on_socket();
+        self.dirty.push(token);
+        self.ready.push(token);
     }
 
-    /// Writes as much of the ring as the socket accepts, vectored, and
-    /// books the wire stats (minus the hello handshake).
-    fn drain_ring(&mut self, conn: &mut Conn<M>) -> io::Result<()> {
+    /// Writes as much of the ring as the socket accepts, vectored, books
+    /// the wire stats (minus the hello handshake), and resumes the owner
+    /// once an over-budget ring drains below half.
+    fn drain_ring(&mut self, idx: usize) -> Result<(), Close> {
+        let Some(conn) = conn_mut(&mut self.slots, idx) else {
+            return Ok(());
+        };
         if !matches!(conn.state, ConnState::Established) || !conn.can_write {
             return Ok(());
         }
         let Some(stream) = conn.stream.as_mut() else {
             return Ok(());
         };
-        let mut out = conn.shared.ring.drain_to(stream)?;
+        let fd = stream.as_raw_fd();
+        let mut out = conn.ring.drain_to(stream)?;
         if out.frames > 0 && conn.hello_debit > 0 {
             // The hello is always the first frame out; once a full frame
             // has drained it is gone.
@@ -758,147 +993,123 @@ impl<M: Wire + Send + 'static> Reactor<M> {
             out.bytes = out.bytes.saturating_sub(conn.hello_debit);
             conn.hello_debit = 0;
         }
-        self.net.core.wire.on_frames(out.frames, out.bytes);
-        let fd = stream.as_raw_fd();
+        self.core.wire.on_frames(out.frames, out.bytes);
         if out.would_block {
             conn.can_write = false;
-            self.poller.set_write_interest(fd, true);
-        } else {
-            self.poller.set_write_interest(fd, false);
+        }
+        self.poller.set_write_interest(fd, out.would_block);
+        if conn.over && conn.ring.below_resume_mark() {
+            conn.over = false;
+            let owner = conn.owner;
+            self.unpause(owner);
         }
         Ok(())
     }
 
-    /// Delivers the parked frame if any, drains the assembler, and reads
-    /// the socket until `WouldBlock` — pausing (not failing) whenever the
-    /// owner's inbox is full. `Ok(false)` means clean EOF.
-    fn service_read(&mut self, token: u64, conn: &mut Conn<M>) -> io::Result<bool> {
+    /// Dispatches the frames buffered on connection `idx` and reads more,
+    /// until the socket runs dry, its owner pauses, or the turn's read
+    /// budget is spent.
+    fn service_read(&mut self, idx: usize) -> Result<(), Close> {
+        let mut reads = 0;
         loop {
-            if let Some(input) = conn.parked.take() {
-                let owner = conn.owner.expect("parked frame has an owner");
-                match self.net.core.inbox[&owner].try_send(input) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(input)) => {
-                        conn.parked = Some(input);
-                        self.timers
-                            .push(Reverse((Instant::now() + PARK_RETRY, token)));
-                        return Ok(true);
+            let token = self.token(idx);
+            let quiet = self.quiet();
+            let Some(conn) = conn_mut(&mut self.slots, idx) else {
+                return Ok(());
+            };
+            if self.shutting_down {
+                // The nodes have stopped; discard input so the peers'
+                // final drains complete.
+                conn.assembler = FrameAssembler::new();
+            } else if self.nodes[conn.owner].over > 0 {
+                return Ok(()); // paused: resume re-queues this socket
+            } else {
+                match conn.assembler.next_frame() {
+                    Ok(Some(payload)) => {
+                        self.on_frame(idx, payload)?;
+                        continue;
                     }
-                    Err(TrySendError::Disconnected(_)) => {} // node stopped
-                }
-            }
-            // Drain complete frames out of the assembler.
-            loop {
-                let payload = match conn.assembler.next_frame() {
-                    Ok(Some(p)) => p,
-                    Ok(None) => break,
-                    Err(e) => panic!("frame error on link into {:?}: {e}", conn.owner),
-                };
-                self.on_frame(conn, payload);
-                if conn.parked.is_some() {
-                    self.timers
-                        .push(Reverse((Instant::now() + PARK_RETRY, token)));
-                    return Ok(true);
+                    Ok(None) => {}
+                    Err(e) => return Err(Close::Peer(e.to_string())),
                 }
             }
             if !conn.readable {
-                return Ok(true);
+                return Ok(());
             }
+            if reads == READS_PER_TURN {
+                self.ready.push(token);
+                return Ok(());
+            }
+            reads += 1;
             let stream = conn.stream.as_mut().expect("established has a stream");
             match stream.read(&mut self.read_buf) {
-                Ok(0) => {
-                    if conn.assembler.is_mid_frame() && !self.net.quiet() {
-                        panic!(
-                            "truncated frame on link into {:?}: EOF mid-frame",
-                            conn.owner
-                        );
-                    }
-                    return Ok(false); // clean EOF: peer closed the link
+                Ok(0) if conn.assembler.is_mid_frame() && !quiet => {
+                    return Err(Close::Peer("stream ended mid-frame".to_string()));
                 }
+                Ok(0) => return Err(Close::Eof),
                 Ok(n) => conn.assembler.extend(&self.read_buf[..n]),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => conn.readable = false,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+                Err(e) => return Err(Close::Io(e)),
             }
         }
     }
 
     /// One reassembled inbound frame: the hello (on an accepted
-    /// connection's first frame) or a `(from, msg)` for the owner.
-    fn on_frame(&mut self, conn: &mut Conn<M>, payload: Vec<u8>) {
-        let Some(owner) = conn.owner else {
-            let h = decode_hello(&payload)
-                .unwrap_or_else(|e| panic!("bad hello on accepted connection: {e}"));
-            if !self.net.core.inbox.contains_key(&h.to) {
-                panic!("hello addressed to unknown node {}", h.to);
+    /// connection's first frame), or a `(from, msg)` the owner's handler
+    /// runs right here.
+    fn on_frame(&mut self, idx: usize, payload: Vec<u8>) -> Result<(), Close> {
+        let token = self.token(idx);
+        let conn = conn_mut(&mut self.slots, idx).expect("frame from a live connection");
+        let owner = conn.owner;
+        let me = self.nodes[owner].live.addr();
+        let Some(peer) = conn.peer else {
+            let h = decode_hello(&payload).map_err(|e| Close::Peer(format!("bad hello: {e}")))?;
+            if h.to != me {
+                return Err(Close::Peer(format!(
+                    "hello for {} on the listener of {me}",
+                    h.to
+                )));
             }
-            conn.owner = Some(h.to);
-            if self.net.adopt_route(h.to, h.from, &conn.shared) {
-                conn.route_key = Some((h.to, h.from));
+            conn.peer = Some(h.from);
+            // Route replies over this connection unless a live route
+            // exists (first wins).
+            let live = self.nodes[owner]
+                .routes
+                .get(&h.from)
+                .is_some_and(|&t| t != token && self.resolve(t).is_some());
+            if !live {
+                self.nodes[owner].routes.insert(h.from, token);
+                if let Some(conn) = conn_mut(&mut self.slots, idx) {
+                    conn.routed = true;
+                }
             }
-            return;
+            return Ok(());
         };
-        let (from, msg) = from_bytes::<(Addr, M)>(&payload)
-            .unwrap_or_else(|e| panic!("corrupt frame for {owner}: {e}"));
-        match self.net.core.inbox[&owner].try_send(Input::Msg { from, msg }) {
-            Ok(()) => {}
-            Err(TrySendError::Full(input)) => conn.parked = Some(input),
-            Err(TrySendError::Disconnected(_)) => {} // node stopped
+        let (from, msg) = from_bytes::<(Addr, A::Msg)>(&payload)
+            .map_err(|e| Close::Peer(format!("corrupt frame: {e}")))?;
+        if from != peer {
+            return Err(Close::Peer(format!(
+                "frame from {from} on the link to {peer}"
+            )));
         }
+        self.shared
+            .counters
+            .dispatches
+            .fetch_add(1, Ordering::Relaxed);
+        self.dispatch(owner, NodeEvent::Msg { from, msg });
+        Ok(())
     }
 }
 
-/// Spawns the reactor pool. Exposed within the crate so tests can drive a
-/// bare reactor without node threads.
-pub(crate) fn spawn_reactors<M: Wire + Send + 'static>(
-    core: Arc<ClusterCore<M>>,
-    book: Arc<dyn AddressBook>,
-    listeners_per: Vec<Vec<(Addr, TcpListener)>>,
-) -> (Arc<NetInner<M>>, Vec<JoinHandle<()>>) {
-    let pool = listeners_per.len();
-    let mut reactors = Vec::with_capacity(pool);
-    let mut wake_rxs = Vec::with_capacity(pool);
-    for _ in 0..pool {
-        let (tx, rx) = UnixStream::pair().expect("wake pipe");
-        tx.set_nonblocking(true).expect("wake tx nonblocking");
-        rx.set_nonblocking(true).expect("wake rx nonblocking");
-        reactors.push(Arc::new(ReactorShared {
-            injects: Mutex::new(Vec::new()),
-            wake_tx: tx,
-            wake_armed: AtomicBool::new(false),
-        }));
-        wake_rxs.push(rx);
-    }
-    let net = Arc::new(NetInner {
-        core,
-        book,
-        routes: Mutex::new(HashMap::new()),
-        reactors,
-        next_reactor: AtomicUsize::new(0),
-        io_stop: AtomicBool::new(false),
-    });
-    let mut threads = Vec::with_capacity(pool);
-    for (rid, (wake_rx, listeners)) in wake_rxs.into_iter().zip(listeners_per).enumerate() {
-        let net = net.clone();
-        let shared = net.reactors[rid].clone();
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("cnet-reactor-{rid}"))
-                .spawn(move || Reactor::new(net, shared, wake_rx, listeners).run())
-                .expect("spawn reactor thread"),
-        );
-    }
-    (net, threads)
-}
-
-/// The reactor engine, running: node threads on the shared live event
-/// loop, all socket I/O on the reactor pool.
+/// The reactor engine, running: every node on one of the reactor threads
+/// that also drive all socket I/O.
 pub struct ReactorCluster<A: Actor> {
     core: Arc<ClusterCore<A::Msg>>,
-    net: Arc<NetInner<A::Msg>>,
-    node_threads: Vec<JoinHandle<(A, Metrics)>>,
-    reactor_threads: Vec<JoinHandle<()>>,
+    reactors: Vec<Arc<ReactorShared<A::Msg>>>,
+    threads: Vec<JoinHandle<Vec<(Addr, A, Metrics)>>>,
     addrs: Vec<Addr>,
+    book: Arc<dyn AddressBook>,
 }
 
 impl<A> ReactorCluster<A>
@@ -907,83 +1118,124 @@ where
     A::Msg: Wire,
 {
     /// Binds one loopback listener per node (assembling the loopback
-    /// [`StaticBook`]), spawns the reactor pool, then the node threads.
-    pub(crate) fn start(
-        core: Arc<ClusterCore<A::Msg>>,
-        nodes: Vec<(Addr, A)>,
-        rxs: Vec<(Addr, Receiver<Input<A::Msg>>)>,
+    /// [`StaticBook`]) and starts the pool sized by
+    /// `CONTRARIAN_NET_THREADS`.
+    pub(crate) fn start(nodes: Vec<(Addr, A)>, recording: bool, seed: u64) -> Self {
+        let mut book = StaticBook::default();
+        let mut placed = Vec::with_capacity(nodes.len());
+        for (addr, actor) in nodes {
+            let l = TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
+            book.insert(addr, l.local_addr().expect("listener has local addr"));
+            placed.push((addr, actor, l));
+        }
+        Self::start_on(placed, Arc::new(book), pool_size(), recording, seed)
+    }
+
+    /// Runs each node on reactor `i % pool` (the pool capped at the node
+    /// count), listening on its own listener; `book` resolves every
+    /// address a node may send to.
+    pub(crate) fn start_on(
+        nodes: Vec<(Addr, A, TcpListener)>,
+        book: Arc<dyn AddressBook>,
+        pool: usize,
+        recording: bool,
         seed: u64,
     ) -> Self {
-        let pool = pool_size();
-        let mut book = StaticBook::default();
-        let mut listeners_per: Vec<Vec<(Addr, TcpListener)>> =
-            (0..pool).map(|_| Vec::new()).collect();
-        for (i, (addr, _)) in nodes.iter().enumerate() {
-            let l = TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
-            l.set_nonblocking(true).expect("listener nonblocking");
-            book.insert(*addr, l.local_addr().expect("listener has local addr"));
-            listeners_per[i % pool].push((*addr, l));
-        }
-        let (net, reactor_threads) = spawn_reactors(core.clone(), Arc::new(book), listeners_per);
-
-        let mut node_threads = Vec::new();
-        let mut addrs = Vec::new();
-        for ((addr, actor), (_, rx)) in nodes.into_iter().zip(rxs) {
-            addrs.push(addr);
-            let core = core.clone();
-            let net = net.clone();
-            let seed = node_seed(seed, addr);
-            node_threads.push(std::thread::spawn(move || {
-                let out = ReactorOutbound {
-                    me: addr,
-                    net,
-                    cache: HashMap::new(),
-                    buf: Vec::new(),
-                };
-                run_node(addr, actor, rx, out, &core.run, seed)
+        let pool = pool.min(nodes.len()).max(1);
+        let mut reactors = Vec::with_capacity(pool);
+        let mut ends = Vec::with_capacity(pool);
+        for _ in 0..pool {
+            let (tx, rx) = bounded(CHANNEL_CAP);
+            let (wake_tx, wake_rx) = UnixStream::pair().expect("wake pipe");
+            wake_tx.set_nonblocking(true).expect("wake tx nonblocking");
+            wake_rx.set_nonblocking(true).expect("wake rx nonblocking");
+            reactors.push(Arc::new(ReactorShared {
+                injects: tx,
+                wake_tx,
+                wake_armed: AtomicBool::new(false),
+                stop: AtomicBool::new(false),
+                counters: Counters::default(),
             }));
+            ends.push((rx, wake_rx));
+        }
+        let mut per: Vec<Vec<(Addr, A, TcpListener)>> = (0..pool).map(|_| Vec::new()).collect();
+        let mut ingress = HashMap::new();
+        let mut addrs = Vec::with_capacity(nodes.len());
+        for (i, (addr, actor, listener)) in nodes.into_iter().enumerate() {
+            ingress.insert(addr, reactors[i % pool].clone());
+            addrs.push(addr);
+            per[i % pool].push((addr, actor, listener));
+        }
+        let core = Arc::new(ClusterCore::new(recording, Ingress::Reactor(ingress)));
+        let mut threads = Vec::with_capacity(pool);
+        for (rid, ((injects, wake_rx), nodes)) in ends.into_iter().zip(per).enumerate() {
+            let core = core.clone();
+            let book = book.clone();
+            let shared = reactors[rid].clone();
+            threads.push(
+                std::thread::Builder::new()
+                    .name(format!("cnet-reactor-{rid}"))
+                    .spawn(move || {
+                        Reactor::new(core, book, shared, injects, wake_rx, nodes, seed).run()
+                    })
+                    .expect("spawn reactor thread"),
+            );
         }
         ReactorCluster {
             core,
-            net,
-            node_threads,
-            reactor_threads,
+            reactors,
+            threads,
             addrs,
+            book,
         }
     }
 
+    pub(crate) fn core(&self) -> Arc<ClusterCore<A::Msg>> {
+        self.core.clone()
+    }
+
+    pub(crate) fn endpoint(&self, node: Addr) -> Option<SocketAddr> {
+        self.book.lookup(node)
+    }
+
     pub(crate) fn io_stats(&self) -> NetIoStats {
+        let sum = |f: fn(&Counters) -> &AtomicU64| -> u64 {
+            self.reactors
+                .iter()
+                .map(|r| f(&r.counters).load(Ordering::Relaxed))
+                .sum()
+        };
         NetIoStats {
-            transport_threads: self.reactor_threads.len(),
+            transport_threads: self.threads.len(),
             sockets: self.core.wire.sockets(),
+            wake_writes: sum(|c| &c.wake_writes),
+            inline_dispatches: sum(|c| &c.dispatches),
+            backpressure_pauses: sum(|c| &c.pauses),
+            peer_errors: sum(|c| &c.peer_errors),
         }
     }
 
     /// Stops every node, drains and tears down the sockets; returns the
-    /// final actors and their merged metrics.
+    /// final actors and their merged metrics. A reactor that panicked
+    /// mid-run (an unreachable peer) fails the shutdown here.
     pub(crate) fn shutdown(self) -> (Vec<(Addr, A)>, Metrics) {
-        // 1. Stop the state machines (reactors still live, so in-flight
-        // output keeps draining while nodes wind down).
         self.core.run.stopped.store(true, Ordering::SeqCst);
-        for tx in self.core.inbox.values() {
-            let _ = tx.send(Input::Stop);
+        for r in &self.reactors {
+            r.shutdown();
         }
-        let mut actors = Vec::new();
+        let mut done = HashMap::new();
+        for t in self.threads {
+            match t.join() {
+                Ok(nodes) => done.extend(nodes.into_iter().map(|(a, actor, m)| (a, (actor, m)))),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        let mut actors = Vec::with_capacity(self.addrs.len());
         let mut metrics = Metrics::new();
-        for (t, addr) in self.node_threads.into_iter().zip(self.addrs.iter()) {
-            let (actor, local) = t.join().expect("node thread panicked");
+        for addr in self.addrs {
+            let (actor, local) = done.remove(&addr).expect("every node comes back");
             metrics.absorb(&local);
-            actors.push((*addr, actor));
-        }
-        // 2. Tell the reactors to drain what remains and exit. A reactor
-        // that panicked mid-run (corrupt frame, unreachable peer) fails
-        // the shutdown here.
-        self.net.io_stop.store(true, Ordering::SeqCst);
-        for r in &self.net.reactors {
-            r.inject(Inject::Shutdown);
-        }
-        for t in self.reactor_threads {
-            resume_panic(t.join());
+            actors.push((addr, actor));
         }
         (actors, metrics)
     }
@@ -992,10 +1244,16 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::tests::Ping;
+    use crate::cluster::tests::{Echo, Ping};
     use crate::cluster::{NetCluster, NetKind};
-    use contrarian_runtime::node_loop::RunShared;
-    use contrarian_types::{DcId, PartitionId};
+    use crate::conn::RING_HIGH;
+    use contrarian_runtime::actor::ActorCtx;
+    use contrarian_runtime::cost::{MsgClass, SimMessage};
+    use contrarian_runtime::frame::encode_frame;
+    use contrarian_types::codec::{CodecError, Reader};
+    use contrarian_types::{DcId, Op, PartitionId};
+    use std::sync::atomic::AtomicU64;
+    use std::sync::Mutex;
 
     #[test]
     fn pool_parse_defaults_and_rejects() {
@@ -1014,12 +1272,23 @@ mod tests {
         assert_eq!(backoff_delay(40), Duration::from_millis(250));
     }
 
+    /// Polls `cond` every 2 ms until it holds or `secs` pass.
+    fn wait_until(secs: u64, mut cond: impl FnMut() -> bool) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(secs);
+        while !cond() {
+            if Instant::now() > deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        true
+    }
+
     /// Both directions of a chatty pair must share one socket: the dialer
     /// counts one endpoint at establish, the acceptor one at accept, and
     /// the reply path reuses the accepted connection via its hello.
     #[test]
     fn peer_pair_shares_one_multiplexed_socket() {
-        use crate::cluster::tests::Echo;
         let server = Addr::server(DcId(0), PartitionId(0));
         let client = Addr::client(DcId(0), 0);
         let nodes = vec![
@@ -1039,21 +1308,174 @@ mod tests {
             ),
         ];
         let cluster = NetCluster::start_with(nodes, false, 11, NetKind::Reactor);
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while cluster.wire_stats().0 < 100 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        assert!(wait_until(10, || cluster.wire_stats().0 >= 100));
         let stats = cluster.io_stats();
         assert_eq!(
             stats.sockets, 2,
             "one dial + one accept: the reply path must reuse the dialed socket"
         );
-        assert_eq!(stats.transport_threads, pool_size());
+        assert_eq!(stats.transport_threads, pool_size().min(2));
         let (actors, ..) = cluster.shutdown();
         assert_eq!(
             actors.iter().find(|(a, _)| *a == client).unwrap().1.pongs,
             50
         );
+    }
+
+    /// The probe message: a padded blob (flooding) or a counted ball
+    /// (rallies).
+    #[derive(Clone, Debug, PartialEq)]
+    enum Probe {
+        Blob { seq: u64, len: u32 },
+        Ball(u32),
+    }
+
+    impl SimMessage for Probe {
+        fn wire_size(&self) -> usize {
+            16
+        }
+        fn class(&self) -> MsgClass {
+            MsgClass::Data
+        }
+    }
+
+    impl Wire for Probe {
+        fn encode(&self, out: &mut Vec<u8>) {
+            match self {
+                Probe::Blob { seq, len } => {
+                    0u8.encode(out);
+                    seq.encode(out);
+                    len.encode(out);
+                    out.resize(out.len() + *len as usize, 0xb1);
+                }
+                Probe::Ball(n) => {
+                    1u8.encode(out);
+                    n.encode(out);
+                }
+            }
+        }
+        fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+            match u8::decode(r)? {
+                0 => {
+                    let seq = u64::decode(r)?;
+                    let len = u32::decode(r)?;
+                    r.take(len as usize)?;
+                    Ok(Probe::Blob { seq, len })
+                }
+                1 => Ok(Probe::Ball(u32::decode(r)?)),
+                tag => Err(CodecError::BadTag { what: "probe", tag }),
+            }
+        }
+    }
+
+    enum Role {
+        /// Sends `total` blobs to `to`, a burst per zero-delay timer.
+        Flood {
+            to: Addr,
+            total: u64,
+            sent: Arc<AtomicU64>,
+        },
+        /// Echoes every message back to its sender.
+        Echo,
+        /// An injected `Ball(n)` starts `n` round trips with `peer`.
+        Rally { peer: Addr, done: Arc<AtomicU64> },
+        /// Arms one timer at start and records when it fired, and where.
+        Alarm {
+            armed_at: u64,
+            fired: Arc<Mutex<Option<(u64, String)>>>,
+        },
+    }
+
+    /// Blobs per flood burst.
+    const BURST: u64 = 64;
+
+    impl Actor for Role {
+        type Msg = Probe;
+
+        fn on_start(&mut self, ctx: &mut dyn ActorCtx<Probe>) {
+            match self {
+                Role::Flood { .. } => ctx.set_timer(0, TimerKind::new(1)),
+                Role::Alarm { armed_at, .. } => {
+                    *armed_at = ctx.now();
+                    ctx.set_timer(30_000_000, TimerKind::new(2));
+                }
+                Role::Echo | Role::Rally { .. } => {}
+            }
+        }
+
+        fn on_message(&mut self, ctx: &mut dyn ActorCtx<Probe>, from: Addr, msg: Probe) {
+            match self {
+                Role::Echo => ctx.send(from, msg),
+                Role::Rally { peer, done } => {
+                    let Probe::Ball(n) = msg else { return };
+                    if from == ctx.self_addr() {
+                        ctx.send(*peer, Probe::Ball(n));
+                        return;
+                    }
+                    done.fetch_add(1, Ordering::SeqCst);
+                    if n > 1 {
+                        ctx.send(*peer, Probe::Ball(n - 1));
+                    }
+                }
+                Role::Flood { .. } | Role::Alarm { .. } => {}
+            }
+        }
+
+        fn on_timer(&mut self, ctx: &mut dyn ActorCtx<Probe>, _kind: TimerKind) {
+            match self {
+                Role::Flood { to, total, sent } => {
+                    let mut n = sent.load(Ordering::SeqCst);
+                    let end = (n + BURST).min(*total);
+                    while n < end {
+                        ctx.send(
+                            *to,
+                            Probe::Blob {
+                                seq: n,
+                                len: 16 * 1024,
+                            },
+                        );
+                        n += 1;
+                    }
+                    sent.store(n, Ordering::SeqCst);
+                    if n < *total {
+                        ctx.set_timer(0, TimerKind::new(1));
+                    }
+                }
+                Role::Alarm { fired, .. } => {
+                    let thread = std::thread::current().name().unwrap_or("").to_string();
+                    *fired.lock().unwrap() = Some((ctx.now(), thread));
+                }
+                Role::Echo | Role::Rally { .. } => {}
+            }
+        }
+
+        fn inject(_op: Op) -> Probe {
+            Probe::Ball(1)
+        }
+    }
+
+    fn listener() -> (TcpListener, SocketAddr) {
+        let l = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let at = l.local_addr().unwrap();
+        (l, at)
+    }
+
+    /// Starts `nodes` on one reactor with a loopback listener each; `book`
+    /// gets their endpoints on top of whatever external peers it holds.
+    fn one_reactor<A>(nodes: Vec<(Addr, A)>, mut book: StaticBook) -> ReactorCluster<A>
+    where
+        A: Actor + Send + 'static,
+        A::Msg: Wire,
+    {
+        let placed = nodes
+            .into_iter()
+            .map(|(addr, actor)| {
+                let (l, at) = listener();
+                book.insert(addr, at);
+                (addr, actor, l)
+            })
+            .collect();
+        ReactorCluster::start_on(placed, Arc::new(book), 1, false, 1)
     }
 
     /// Reads length-prefixed frames off a test-side (std, blocking)
@@ -1080,6 +1502,23 @@ mod tests {
         got
     }
 
+    /// Sends a fixed list of pings from `on_start`.
+    struct Sends(Vec<(Addr, u32)>);
+
+    impl Actor for Sends {
+        type Msg = Ping;
+        fn on_start(&mut self, ctx: &mut dyn ActorCtx<Ping>) {
+            for (to, n) in self.0.drain(..) {
+                ctx.send(to, Ping(n));
+            }
+        }
+        fn on_message(&mut self, _ctx: &mut dyn ActorCtx<Ping>, _from: Addr, _msg: Ping) {}
+        fn on_timer(&mut self, _ctx: &mut dyn ActorCtx<Ping>, _kind: TimerKind) {}
+        fn inject(_op: Op) -> Ping {
+            Ping(0)
+        }
+    }
+
     /// A dead peer must back off on the reactor's timers — while it does,
     /// other connections on the same (single) reactor keep flowing, and
     /// once the listener appears the queued frames arrive.
@@ -1089,42 +1528,18 @@ mod tests {
         let dead = Addr::server(DcId(0), PartitionId(0));
         let live = Addr::server(DcId(0), PartitionId(1));
         // Reserve a port for `dead`, then free it.
-        let l = TcpListener::bind("127.0.0.1:0").unwrap();
-        let dead_at = l.local_addr().unwrap();
+        let (l, dead_at) = listener();
         drop(l);
-        let live_l = TcpListener::bind("127.0.0.1:0").unwrap();
-        let live_at = live_l.local_addr().unwrap();
+        let (live_l, live_at) = listener();
 
         let mut book = StaticBook::default();
         book.insert(dead, dead_at);
         book.insert(live, live_at);
-        let core: Arc<ClusterCore<Ping>> = Arc::new(ClusterCore {
-            run: RunShared::new(false),
-            inbox: HashMap::new(),
-            wire: Default::default(),
-        });
-        // One reactor, no listeners of its own: it only dials out.
-        let (net, threads) = spawn_reactors(core, Arc::new(book), vec![Vec::new()]);
-
-        let frame = |msg: &Ping| {
-            let mut payload = Vec::new();
-            me.encode(&mut payload);
-            msg.encode(&mut payload);
-            encode_frame(&payload)
-        };
-        // Queue to the dead peer first: with the old sleeping backoff this
-        // would stall the transport ~¾ s; the reactor schedules it instead.
-        let c_dead = net.route(me, dead);
-        c_dead.ring.push(frame(&Ping(7))).unwrap();
-        c_dead.flush();
-        let c_live = net.route(me, live);
-        c_live.ring.push(frame(&Ping(1))).unwrap();
-        c_live.flush();
+        // Queue to the dead peer first: a sleeping backoff would stall the
+        // transport ~¾ s; the reactor schedules it instead.
+        let cluster = one_reactor(vec![(me, Sends(vec![(dead, 7), (live, 1)]))], book);
 
         // The live link delivers while the dead one is backing off.
-        live_l
-            .set_nonblocking(false)
-            .expect("blocking accept for the test side");
         let (mut s, _) = live_l.accept().expect("live link accepted");
         let payloads = read_payloads(&mut s, 2);
         let hello = decode_hello(&payloads[0]).expect("first frame is the hello");
@@ -1145,13 +1560,223 @@ mod tests {
                 "frames queued during backoff arrive after the reconnect"
             );
         }
+        cluster.shutdown();
+    }
 
-        net.io_stop.store(true, Ordering::SeqCst);
-        for r in &net.reactors {
-            r.inject(Inject::Shutdown);
+    /// The claim of the engine in one counter: frames between nodes are
+    /// dispatched on the reactor that reads them, so however many round
+    /// trips a two-node echo makes, no wake pipe is ever written.
+    #[test]
+    fn echo_round_trips_write_no_wake_pipe() {
+        for rounds in [10u32, 400] {
+            let server = Addr::server(DcId(0), PartitionId(0));
+            let client = Addr::client(DcId(0), 0);
+            let done = Arc::new(AtomicU64::new(0));
+            let rally = Role::Rally {
+                peer: server,
+                done: done.clone(),
+            };
+            let cluster = NetCluster::start_with(
+                vec![(server, Role::Echo), (client, rally)],
+                false,
+                5,
+                NetKind::Reactor,
+            );
+            let before = cluster.io_stats();
+            cluster.handle().send(client, client, Probe::Ball(rounds));
+            assert!(wait_until(10, || cluster.io_stats().inline_dispatches
+                >= 2 * rounds as u64));
+            let after = cluster.io_stats();
+            assert_eq!(done.load(Ordering::SeqCst), rounds as u64);
+            assert_eq!(
+                after.inline_dispatches - before.inline_dispatches,
+                2 * rounds as u64,
+                "every frame dispatched once, on the reactor that read it"
+            );
+            assert_eq!(
+                after.wake_writes - before.wake_writes,
+                1,
+                "{rounds} round trips: the one injection wakes its reactor, no frame does"
+            );
+            assert_eq!(cluster.wire_stats().0, 2 * rounds as u64);
+            cluster.shutdown();
         }
-        for t in threads {
-            resume_panic(t.join());
+    }
+
+    /// Actor timers live on the reactor's heap: they fire on the reactor
+    /// thread, not before their delay and not long after.
+    #[test]
+    fn actor_timer_fires_on_the_reactor() {
+        let node = Addr::server(DcId(0), PartitionId(0));
+        let fired = Arc::new(Mutex::new(None));
+        let alarm = Role::Alarm {
+            armed_at: 0,
+            fired: fired.clone(),
+        };
+        let cluster = NetCluster::start_with(vec![(node, alarm)], false, 3, NetKind::Reactor);
+        assert!(wait_until(5, || fired.lock().unwrap().is_some()));
+        let (actors, ..) = cluster.shutdown();
+        let Role::Alarm { armed_at, .. } = &actors[0].1 else {
+            unreachable!()
+        };
+        let (at, thread) = fired.lock().unwrap().clone().unwrap();
+        let late_ms = (at - *armed_at) as f64 / 1e6 - 30.0;
+        assert!(
+            (0.0..250.0).contains(&late_ms),
+            "30 ms timer fired {late_ms:.2} ms late"
+        );
+        assert!(thread.starts_with("cnet-reactor-"), "fired on `{thread}`");
+    }
+
+    /// A sender floods a peer that stops reading. Its ring crosses the
+    /// budget and the reactor pauses the sender instead of blocking: the
+    /// queue stops growing, another pair on the same reactor keeps
+    /// rallying, and once the peer reads again every frame arrives in
+    /// order — including the ones still queued when shutdown began.
+    #[test]
+    fn flood_into_a_stalled_peer_pauses_the_sender_not_the_reactor() {
+        const TOTAL: u64 = 2048; // 32 MiB of 16 KiB blobs
+        let flood = Addr::client(DcId(0), 0);
+        let rally = Addr::client(DcId(0), 1);
+        let echo = Addr::server(DcId(0), PartitionId(0));
+        let sink = Addr::server(DcId(1), PartitionId(0));
+        let (sink_l, sink_at) = listener();
+        let mut book = StaticBook::default();
+        book.insert(sink, sink_at);
+        let sent = Arc::new(AtomicU64::new(0));
+        let done = Arc::new(AtomicU64::new(0));
+        let cluster = one_reactor(
+            vec![
+                (
+                    flood,
+                    Role::Flood {
+                        to: sink,
+                        total: TOTAL,
+                        sent: sent.clone(),
+                    },
+                ),
+                (
+                    rally,
+                    Role::Rally {
+                        peer: echo,
+                        done: done.clone(),
+                    },
+                ),
+                (echo, Role::Echo),
+            ],
+            book,
+        );
+        let (mut sink_s, _) = sink_l.accept().expect("flooder dials the sink");
+
+        // The sink reads nothing: the flooder must pause, then stall.
+        assert!(wait_until(20, || cluster.io_stats().backpressure_pauses >= 1));
+        let mut last = u64::MAX;
+        assert!(wait_until(20, || {
+            let now = sent.load(Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(50));
+            std::mem::replace(&mut last, now) == now
+        }));
+        let stalled = sent.load(Ordering::SeqCst);
+        assert!(stalled < TOTAL, "the flood must stall before it ends");
+        let frame_len = 4 + 4 + 1 + 8 + 4 + 16 * 1024;
+        let queued = (stalled - cluster.core.wire.frames_bytes().0) as usize * frame_len;
+        assert!(
+            queued <= RING_HIGH + BURST as usize * frame_len,
+            "{queued} bytes queued: the ring must stay near its budget"
+        );
+
+        // The reactor is not blocked: the other pair still rallies.
+        cluster.core.inject(rally, rally, Probe::Ball(200));
+        assert!(wait_until(10, || done.load(Ordering::SeqCst) == 200));
+        assert_eq!(sent.load(Ordering::SeqCst), stalled, "still paused");
+
+        // The sink reads again: every blob arrives, in order.
+        let reader = std::thread::spawn(move || {
+            let mut asm = FrameAssembler::new();
+            let mut buf = vec![0u8; 64 * 1024];
+            let mut next = 0u64;
+            let mut hello = false;
+            loop {
+                let n = sink_s.read(&mut buf).expect("sink read");
+                if n == 0 {
+                    assert!(!asm.is_mid_frame(), "shutdown cut a frame");
+                    return next;
+                }
+                asm.extend(&buf[..n]);
+                while let Some(p) = asm.next_frame().expect("valid frames") {
+                    if !hello {
+                        hello = decode_hello(&p).is_ok();
+                        assert!(hello, "the hello comes first");
+                        continue;
+                    }
+                    let (from, msg) = from_bytes::<(Addr, Probe)>(&p).expect("blob");
+                    assert_eq!(from, flood);
+                    assert_eq!(
+                        msg,
+                        Probe::Blob {
+                            seq: next,
+                            len: 16 * 1024
+                        }
+                    );
+                    next += 1;
+                }
+            }
+        });
+        assert!(wait_until(20, || sent.load(Ordering::SeqCst) == TOTAL));
+        let pauses = cluster.io_stats().backpressure_pauses;
+        // Shutdown drains whatever the ring still holds, then closes.
+        cluster.shutdown();
+        assert_eq!(reader.join().unwrap(), TOTAL, "per-link FIFO, nothing lost");
+        assert!(pauses >= 1);
+    }
+
+    /// Writes `bytes` to `at` on a fresh connection and closes it.
+    fn hostile(at: SocketAddr, bytes: &[u8]) {
+        let mut s = TcpStream::connect(at).expect("reach the listener");
+        s.write_all(bytes).expect("hostile write");
+    }
+
+    /// Every way a peer can break the frame stream closes that one
+    /// connection and is counted; the cluster keeps serving.
+    #[test]
+    fn hostile_peers_close_only_their_own_connection() {
+        let server = Addr::server(DcId(0), PartitionId(0));
+        let client = Addr::client(DcId(0), 0);
+        let stranger = Addr::client(DcId(3), 9);
+        let done = Arc::new(AtomicU64::new(0));
+        let cluster = one_reactor(
+            vec![
+                (server, Role::Echo),
+                (
+                    client,
+                    Role::Rally {
+                        peer: server,
+                        done: done.clone(),
+                    },
+                ),
+            ],
+            StaticBook::default(),
+        );
+        let at = cluster.endpoint(server).unwrap();
+        let hello = hello_frame(stranger, server);
+        let with_hello = |tail: &[u8]| [&hello[..], tail].concat();
+        let mut spoofed = Vec::new();
+        client.encode(&mut spoofed);
+        Probe::Ball(1).encode(&mut spoofed);
+        let cases: Vec<Vec<u8>> = vec![
+            u32::MAX.to_le_bytes().to_vec(),       // oversize length prefix
+            encode_frame(b"not a hello at all"),   // bad hello
+            hello_frame(client, client),           // hello for another node
+            with_hello(&encode_frame(&[0xee; 3])), // corrupt frame
+            with_hello(&encode_frame(&spoofed)),   // frame from a third node
+            with_hello(&[100, 0, 0, 0, 1, 2, 3]),  // stream ends mid-frame
+        ];
+        for bytes in &cases {
+            hostile(at, bytes);
         }
+        assert!(wait_until(10, || cluster.io_stats().peer_errors == cases.len() as u64));
+        cluster.core.inject(client, client, Probe::Ball(50));
+        assert!(wait_until(10, || done.load(Ordering::SeqCst) == 50));
+        cluster.shutdown();
     }
 }

@@ -203,10 +203,12 @@ enum Inner {
         buf: Vec<EpollEvent>,
     },
     Poll {
-        /// `(fd, token, write_interest)` — rebuilt into a `pollfd` array
-        /// each wait. Readiness interest is level-triggered, so `POLLOUT`
-        /// is only requested while the reactor has pending output.
-        fds: Vec<(RawFd, u64, bool)>,
+        /// `(fd, token, read_interest, write_interest)` — rebuilt into a
+        /// `pollfd` array each wait. Readiness interest is level-triggered,
+        /// so `POLLOUT` is only requested while the reactor has pending
+        /// output, and `POLLIN` is dropped while the reactor is not reading
+        /// the fd.
+        fds: Vec<(RawFd, u64, bool, bool)>,
         buf: Vec<PollFd>,
     },
 }
@@ -245,7 +247,7 @@ impl Poller {
                 Ok(())
             }
             Inner::Poll { fds, .. } => {
-                fds.push((fd, token, false));
+                fds.push((fd, token, true, false));
                 Ok(())
             }
         }
@@ -269,6 +271,17 @@ impl Poller {
     /// Sets level-triggered write interest (poll backend only; epoll is
     /// edge-triggered and needs no per-transition syscall).
     pub fn set_write_interest(&mut self, fd: RawFd, on: bool) {
+        if let Inner::Poll { fds, .. } = &mut self.0 {
+            if let Some(entry) = fds.iter_mut().find(|(f, ..)| *f == fd) {
+                entry.3 = on;
+            }
+        }
+    }
+
+    /// Sets level-triggered read interest (poll backend only): an fd whose
+    /// data the reactor is deliberately leaving unread would otherwise
+    /// report readable on every wait. Epoll's edges need no toggling.
+    pub fn set_read_interest(&mut self, fd: RawFd, on: bool) {
         if let Inner::Poll { fds, .. } = &mut self.0 {
             if let Some(entry) = fds.iter_mut().find(|(f, ..)| *f == fd) {
                 entry.2 = on;
@@ -325,9 +338,9 @@ impl Poller {
             }
             Inner::Poll { fds, buf } => {
                 buf.clear();
-                buf.extend(fds.iter().map(|&(fd, _, w)| PollFd {
+                buf.extend(fds.iter().map(|&(fd, _, r, w)| PollFd {
                     fd,
-                    events: POLLIN | if w { POLLOUT } else { 0 },
+                    events: if r { POLLIN } else { 0 } | if w { POLLOUT } else { 0 },
                     revents: 0,
                 }));
                 let n = loop {
@@ -341,7 +354,7 @@ impl Poller {
                     }
                 };
                 if n > 0 {
-                    for (pfd, &(_, token, _)) in buf.iter().zip(fds.iter()) {
+                    for (pfd, &(_, token, ..)) in buf.iter().zip(fds.iter()) {
                         let bits = pfd.revents;
                         if bits != 0 {
                             out.push(Event {

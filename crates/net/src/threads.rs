@@ -8,7 +8,7 @@
 //! nodes stands up `n·(n−1)` sockets and as many reader threads, which is
 //! what caps how far `net_sweep` can scale this engine.
 
-use crate::cluster::{resume_panic, ClusterCore, NetIoStats, CHANNEL_CAP};
+use crate::cluster::{resume_panic, ClusterCore, Ingress, NetIoStats, CHANNEL_CAP};
 use contrarian_runtime::actor::Actor;
 use contrarian_runtime::frame::{read_frame, write_frame, FrameError};
 use contrarian_runtime::metrics::Metrics;
@@ -73,6 +73,9 @@ fn connect_with_backoff(peer: SocketAddr) -> std::io::Result<TcpStream> {
 /// Engine-private state shared by reader, writer and accept threads.
 struct NetShared<M> {
     core: Arc<ClusterCore<M>>,
+    /// Every node's input channel (the same senders external injection
+    /// uses through `core`).
+    inbox: HashMap<Addr, Sender<Input<M>>>,
     /// Where every node listens (the loopback address book).
     listen: HashMap<Addr, SocketAddr>,
     /// Each node's outbound queue, drained by its writer thread. Cleared at
@@ -156,7 +159,7 @@ fn write_loop<M>(
 /// The reader thread: decodes `(from, msg)` frames off one accepted
 /// connection and feeds the owning node's input channel.
 fn read_loop<M: Wire + Send + 'static>(stream: TcpStream, owner: Addr, shared: Arc<NetShared<M>>) {
-    let tx = shared.core.inbox[&owner].clone();
+    let tx = shared.inbox[&owner].clone();
     let mut r = BufReader::new(stream);
     loop {
         match read_frame(&mut r) {
@@ -218,12 +221,16 @@ where
 {
     /// Binds one loopback listener per node, then spawns the accept,
     /// writer and node threads and calls `on_start` on each node.
-    pub(crate) fn start(
-        core: Arc<ClusterCore<A::Msg>>,
-        nodes: Vec<(Addr, A)>,
-        rxs: Vec<(Addr, Receiver<Input<A::Msg>>)>,
-        seed: u64,
-    ) -> Self {
+    pub(crate) fn start(nodes: Vec<(Addr, A)>, recording: bool, seed: u64) -> Self {
+        let mut inbox = HashMap::new();
+        let mut rxs = Vec::new();
+        for (addr, _) in &nodes {
+            let (tx, rx) = bounded::<Input<A::Msg>>(CHANNEL_CAP);
+            inbox.insert(*addr, tx);
+            rxs.push((*addr, rx));
+        }
+        let core = Arc::new(ClusterCore::new(recording, Ingress::Inbox(inbox.clone())));
+
         // Phase 1: the address book. Every listener must exist before any
         // node runs, because `on_start` handlers may send immediately.
         let mut listen = HashMap::new();
@@ -250,7 +257,8 @@ where
         }
 
         let shared = Arc::new(NetShared {
-            core: core.clone(),
+            core,
+            inbox,
             listen,
             outbox: Mutex::new(outbox),
             reader_threads: Mutex::new(Vec::new()),
@@ -301,12 +309,21 @@ where
         }
     }
 
+    pub(crate) fn endpoint(&self, node: Addr) -> Option<SocketAddr> {
+        self.shared.listen.get(&node).copied()
+    }
+
+    pub(crate) fn core(&self) -> Arc<ClusterCore<A::Msg>> {
+        self.shared.core.clone()
+    }
+
     pub(crate) fn io_stats(&self) -> NetIoStats {
         NetIoStats {
             transport_threads: self.writer_threads.len()
                 + self.accept_threads.len()
                 + self.shared.reader_threads.lock().len(),
             sockets: self.shared.core.wire.sockets(),
+            ..NetIoStats::default()
         }
     }
 
@@ -315,7 +332,7 @@ where
     pub(crate) fn shutdown(self) -> (Vec<(Addr, A)>, Metrics) {
         // 1. Stop the state machines.
         self.shared.core.run.stopped.store(true, Ordering::SeqCst);
-        for tx in self.shared.core.inbox.values() {
+        for tx in self.shared.inbox.values() {
             let _ = tx.send(Input::Stop);
         }
         let mut actors = Vec::new();

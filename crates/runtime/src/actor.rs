@@ -14,7 +14,7 @@ use rand::rngs::SmallRng;
 
 /// A timer tag: `kind` identifies the purpose (protocol-defined constants),
 /// `a` is an optional payload (e.g. a token of a deferred operation).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct TimerKind {
     pub kind: u16,
     pub a: u64,

@@ -14,9 +14,9 @@
 //!                         │                    Runtime trait)
 //!         ┌───────────────┼───────────────┐
 //!  contrarian-sim  contrarian-transport  contrarian-net
-//!  (discrete-event (thread-per-node      (thread-per-node
-//!   engine,         live cluster, wall    live cluster over
-//!   virtual time)   clock, channels)      TCP sockets)
+//!  (discrete-event (thread-per-node      (live cluster over
+//!   engine,         live cluster, wall    TCP sockets, nodes
+//!   virtual time)   clock, channels)      on reactor threads)
 //!         └───────────────┼───────────────┘
 //!                  contrarian-protocol        (Node, Stabilizer, Timers,
 //!                         │                    builders, conformance)
@@ -33,9 +33,10 @@
 //!   queueing cost model (virtual time);
 //! * `contrarian-transport` — a live thread-per-node deployment (wall-clock
 //!   time, crossbeam channels as links);
-//! * `contrarian-net` — the same thread-per-node event loop over real TCP
-//!   sockets, every message through the wire codec and the [`frame`]
-//!   layer this crate provides.
+//! * `contrarian-net` — the same nodes over real TCP sockets, every
+//!   message through the wire codec and the [`frame`] layer this crate
+//!   provides; its reactor engine runs each [`node_loop::LiveNode`] on
+//!   the event-loop thread that owns the node's sockets.
 //!
 //! All implement the cluster-facing [`Runtime`] trait (external
 //! `send` / `inject_op` / `now` / `stop_issuing` semantics); during a
@@ -64,7 +65,7 @@ pub use cost::{CostModel, MsgClass, SimMessage};
 pub use frame::{encode_frame, read_frame, write_frame, FrameAssembler, FrameError, MAX_FRAME};
 pub use history::{merge_shard_histories, HistorySink, TaggedEvent};
 pub use metrics::{Histogram, LoadReport, Metrics};
-pub use node_loop::{node_seed, run_node, Input, Outbound, RunShared};
+pub use node_loop::{node_seed, run_node, Input, LiveNode, NodeEvent, Outbound, RunShared};
 pub use runtime::Runtime;
 pub use testkit::ScriptCtx;
 pub use trace::{chrome_trace_json, merge_traces, summarize, trace_cap_from_env, TraceRing};

@@ -1,13 +1,15 @@
-//! The per-node event loop shared by every live (wall-clock) runtime.
+//! The node runner shared by every live (wall-clock) runtime.
 //!
-//! `contrarian-transport`'s `LiveCluster` (in-process channels) and
-//! `contrarian-net`'s `NetCluster` (TCP sockets) differ only in how a sent
-//! message reaches its destination.
-//! Everything else — the input channel, the timer deadline queue, the
-//! per-thread metrics sink, the `ActorCtx` the state machine sees — is this
-//! module. A runtime provides an [`Outbound`] (how to move one message) and
-//! a [`RunShared`] (the cluster-wide flags and history sink) and gets the
-//! whole loop.
+//! [`LiveNode`] is one node as the live runtimes run it: the actor, its
+//! RNG, its metrics sink, and the `ActorCtx` the state machine sees.
+//! [`run_node`] wraps it in a thread-per-node event loop — an input
+//! channel plus a timer deadline queue — which `contrarian-transport`'s
+//! `LiveCluster` (in-process channels) and `contrarian-net`'s `threads`
+//! engine use; they differ only in how a sent message reaches its
+//! destination, so each provides an [`Outbound`] and a [`RunShared`] (the
+//! cluster-wide flags and history sink) and gets the whole loop.
+//! `contrarian-net`'s reactor engine drives [`LiveNode`] directly from its
+//! reactor threads instead.
 
 use crate::actor::{Actor, ActorCtx, TimerKind};
 use crate::history::HistorySink;
@@ -31,8 +33,8 @@ pub enum Input<M> {
 /// How a live runtime moves one message from a node to a destination.
 ///
 /// `LiveCluster` pushes onto the destination's input channel;
-/// `NetCluster` encodes the message and hands it to the per-connection
-/// writer thread for that link.
+/// `NetCluster`'s `threads` engine encodes the message and hands it to the
+/// sending node's writer thread.
 pub trait Outbound<M> {
     fn deliver(&mut self, from: Addr, to: Addr, msg: M);
 }
@@ -40,11 +42,11 @@ pub trait Outbound<M> {
 /// Cluster-wide run state every live runtime shares: the clock origin, the
 /// stop/measure flags, and the waitable history sink.
 ///
-/// Metrics are *not* here: every node thread accumulates its own
-/// [`Metrics`] and hands it back when the thread joins — the measurement
-/// hot path takes no lock. History is only ever touched when `recording`
-/// is set (functional runs), through a [`HistorySink`] whose condition
-/// variable lets waiters sleep instead of poll.
+/// Metrics are *not* here: every node accumulates its own [`Metrics`]
+/// and hands it back when the run ends — the measurement hot path takes
+/// no lock. History is only ever touched when `recording` is set
+/// (functional runs), through a [`HistorySink`] whose condition variable
+/// lets waiters sleep instead of poll.
 pub struct RunShared {
     pub start: Instant,
     pub stopped: AtomicBool,
@@ -70,10 +72,69 @@ impl RunShared {
     }
 }
 
-enum Event<M> {
+/// One event a live runtime hands to a node's handlers.
+pub enum NodeEvent<M> {
     Start,
     Msg { from: Addr, msg: M },
     Timer(TimerKind),
+}
+
+/// A node as every live runtime runs it: the actor plus its RNG and
+/// metrics sink. The runtime decides *where* handlers run (a node thread
+/// in [`run_node`], a reactor thread in `contrarian-net`); this type is
+/// what runs them.
+pub struct LiveNode<A: Actor> {
+    addr: Addr,
+    actor: A,
+    rng: SmallRng,
+    /// All handler effects accumulate here and the whole sink is handed
+    /// back at the end of the run — no shared lock on this path.
+    metrics: Metrics,
+}
+
+impl<A: Actor> LiveNode<A> {
+    pub fn new(addr: Addr, actor: A, seed: u64) -> Self {
+        LiveNode {
+            addr,
+            actor,
+            rng: SmallRng::seed_from_u64(seed),
+            metrics: Metrics::new(),
+        }
+    }
+
+    pub fn addr(&self) -> Addr {
+        self.addr
+    }
+
+    /// Runs the handler for `ev`. Messages it sends are appended to
+    /// `sent`, timers it arms (delay in ns) to `timers`; the caller moves
+    /// them.
+    pub fn handle(
+        &mut self,
+        shared: &RunShared,
+        ev: NodeEvent<A::Msg>,
+        sent: &mut Vec<(Addr, A::Msg)>,
+        timers: &mut Vec<(u64, TimerKind)>,
+    ) {
+        self.metrics.enabled = shared.measuring.load(Ordering::Relaxed);
+        let mut ctx = LiveCtx {
+            addr: self.addr,
+            shared,
+            rng: &mut self.rng,
+            out: sent,
+            new_timers: timers,
+            metrics: &mut self.metrics,
+        };
+        match ev {
+            NodeEvent::Start => self.actor.on_start(&mut ctx),
+            NodeEvent::Msg { from, msg } => self.actor.on_message(&mut ctx, from, msg),
+            NodeEvent::Timer(kind) => self.actor.on_timer(&mut ctx, kind),
+        }
+    }
+
+    pub fn into_parts(self) -> (A, Metrics) {
+        (self.actor, self.metrics)
+    }
 }
 
 /// The per-node event loop: drains the input channel and fires due timers
@@ -81,72 +142,35 @@ enum Event<M> {
 /// the actor and the thread-local metrics sink.
 pub fn run_node<A: Actor>(
     addr: Addr,
-    mut actor: A,
+    actor: A,
     rx: Receiver<Input<A::Msg>>,
     mut out: impl Outbound<A::Msg>,
     shared: &RunShared,
     seed: u64,
 ) -> (A, Metrics) {
-    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut node = LiveNode::new(addr, actor, seed);
     // Timer queue: (deadline, seq, kind, arg); BinaryHeap is a max-heap so
     // store reversed deadlines.
     let mut timers: BinaryHeap<std::cmp::Reverse<(Instant, u64, u16, u64)>> = BinaryHeap::new();
     let mut timer_seq = 0u64;
-    // The thread-local metrics sink: all handler effects accumulate here and
-    // the whole thing is handed back on join — no shared lock on this path.
-    let mut metrics = Metrics::new();
-
-    let fire = |actor: &mut A,
-                rng: &mut SmallRng,
-                timers: &mut BinaryHeap<std::cmp::Reverse<(Instant, u64, u16, u64)>>,
-                timer_seq: &mut u64,
-                metrics: &mut Metrics,
-                out: &mut dyn FnMut(Addr, A::Msg),
-                ev: Event<A::Msg>| {
-        metrics.enabled = shared.measuring.load(Ordering::Relaxed);
-        let mut ctx = LiveCtx {
-            addr,
-            shared,
-            rng,
-            out: Vec::new(),
-            new_timers: Vec::new(),
-            metrics,
-        };
-        match ev {
-            Event::Start => actor.on_start(&mut ctx),
-            Event::Msg { from, msg } => actor.on_message(&mut ctx, from, msg),
-            Event::Timer(kind) => actor.on_timer(&mut ctx, kind),
-        }
-        let LiveCtx {
-            out: sent,
-            new_timers,
-            ..
-        } = ctx;
-        for (to, msg) in sent {
-            out(to, msg);
-        }
-        for (delay_ns, kind) in new_timers {
-            *timer_seq += 1;
-            let deadline = Instant::now() + Duration::from_nanos(delay_ns);
-            timers.push(std::cmp::Reverse((deadline, *timer_seq, kind.kind, kind.a)));
-        }
-    };
+    let mut sent = Vec::new();
+    let mut armed = Vec::new();
 
     macro_rules! dispatch {
-        ($ev:expr) => {
-            fire(
-                &mut actor,
-                &mut rng,
-                &mut timers,
-                &mut timer_seq,
-                &mut metrics,
-                &mut |to, msg| out.deliver(addr, to, msg),
-                $ev,
-            )
-        };
+        ($ev:expr) => {{
+            node.handle(shared, $ev, &mut sent, &mut armed);
+            for (to, msg) in sent.drain(..) {
+                out.deliver(addr, to, msg);
+            }
+            for (delay_ns, kind) in armed.drain(..) {
+                timer_seq += 1;
+                let deadline = Instant::now() + Duration::from_nanos(delay_ns);
+                timers.push(std::cmp::Reverse((deadline, timer_seq, kind.kind, kind.a)));
+            }
+        }};
     }
 
-    dispatch!(Event::Start);
+    dispatch!(NodeEvent::Start);
 
     loop {
         // Fire due timers.
@@ -156,7 +180,7 @@ pub fn run_node<A: Actor>(
                 break;
             }
             timers.pop();
-            dispatch!(Event::Timer(TimerKind::with_arg(kind, a)));
+            dispatch!(NodeEvent::Timer(TimerKind::with_arg(kind, a)));
         }
         // Wait for the next input or timer deadline.
         let wait = timers
@@ -164,23 +188,22 @@ pub fn run_node<A: Actor>(
             .map(|std::cmp::Reverse((d, ..))| d.saturating_duration_since(Instant::now()))
             .unwrap_or(Duration::from_millis(5));
         match rx.recv_timeout(wait.min(Duration::from_millis(5))) {
-            Ok(Input::Msg { from, msg }) => dispatch!(Event::Msg { from, msg }),
+            Ok(Input::Msg { from, msg }) => dispatch!(NodeEvent::Msg { from, msg }),
             Ok(Input::Stop) => break,
             Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
             Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
         }
     }
-    (actor, metrics)
+    node.into_parts()
 }
 
 struct LiveCtx<'a, M> {
     addr: Addr,
     shared: &'a RunShared,
     rng: &'a mut SmallRng,
-    out: Vec<(Addr, M)>,
-    new_timers: Vec<(u64, TimerKind)>,
-    /// The node thread's metrics sink (merged into the cluster total when
-    /// the thread joins).
+    out: &'a mut Vec<(Addr, M)>,
+    new_timers: &'a mut Vec<(u64, TimerKind)>,
+    /// The node's metrics sink.
     metrics: &'a mut Metrics,
 }
 

@@ -110,22 +110,23 @@ impl<M> Chain<M> {
         self.newest_visible(|v| v.vid.ts < ts_bound)
     }
 
-    /// Drops versions with `vid.ts < horizon_ts`, always retaining at least
-    /// the newest `min_keep` versions. Returns the number dropped.
+    /// Drops versions with `vid.ts < horizon_ts` except the newest of them,
+    /// always retaining at least the newest `min_keep` versions. Returns
+    /// the number dropped.
+    ///
+    /// The newest version under the horizon stays because every snapshot
+    /// at or after the horizon may still need it: the versions above it
+    /// can be remote writes that are not yet visible there.
     pub fn gc(&mut self, horizon_ts: u64, min_keep: usize) -> usize {
-        if self.versions.len() <= min_keep {
-            return 0;
-        }
-        let max_drop = self.versions.len() - min_keep;
-        let cut = self
+        let below = self
             .versions
             .iter()
-            .take(max_drop)
             .take_while(|v| v.vid.ts < horizon_ts)
             .count();
-        if cut > 0 {
-            self.versions.drain(..cut);
-        }
+        let cut = below
+            .saturating_sub(1)
+            .min(self.versions.len().saturating_sub(min_keep));
+        self.versions.drain(..cut);
         cut
     }
 
@@ -228,9 +229,26 @@ mod tests {
             c.insert(v(ts, 0));
         }
         let dropped = c.gc(4, 1);
-        assert_eq!(dropped, 3);
-        assert_eq!(c.len(), 7);
-        assert_eq!(c.iter_desc().last().unwrap().vid.ts, 4);
+        assert_eq!(dropped, 2, "1 and 2 go; 3 is the newest under the horizon");
+        assert_eq!(c.len(), 8);
+        assert_eq!(c.iter_desc().last().unwrap().vid.ts, 3);
+    }
+
+    /// A horizon past every version keeps the newest one even when the
+    /// caller allows dropping everything.
+    #[test]
+    fn gc_keeps_newest_version_under_the_horizon() {
+        let mut c = Chain::new();
+        for ts in 1..=3 {
+            c.insert(v(ts, 0));
+        }
+        assert_eq!(c.gc(100, 0), 2);
+        assert_eq!(c.head().unwrap().vid.ts, 3);
+        // A newer, not-yet-stable version above the horizon must not
+        // cost the stable one below it.
+        c.insert(v(200, 1));
+        assert_eq!(c.gc(100, 1), 0);
+        assert_eq!(c.len(), 2);
     }
 
     #[test]

@@ -247,3 +247,23 @@ fn protocols_serve_equivalent_functionality() {
         "op counts wildly divergent under functional cost model: {counts:?}"
     );
 }
+
+/// Version GC must never take away the only version a current snapshot
+/// can see. With a short retention window, the newest version of a key is
+/// often a remote write that is not yet stable; GC used to drop every
+/// older version under the horizon, so a ROT found nothing visible and
+/// read genesis, which the checker flags as a stale read.
+#[test]
+fn version_gc_keeps_the_visible_version() {
+    for seed in 1..=10 {
+        let mut cfg = ExperimentConfig::functional(Protocol::Contrarian);
+        cfg.cluster = ClusterConfig::small().with_dcs(2);
+        cfg.cluster.keys_per_partition = 10_000;
+        cfg.cluster.version_gc_retention_us = 50_000;
+        cfg.workload = WorkloadSpec::paper_default();
+        cfg.clients_per_dc = 4;
+        cfg.measure_ns = 300_000_000;
+        cfg.seed = seed;
+        assert_causal(&cfg);
+    }
+}

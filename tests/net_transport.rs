@@ -101,3 +101,50 @@ fn tcp_interactive_injection_round_trips() {
     }
     cluster.shutdown();
 }
+
+/// A peer writing garbage at a server's listener mid-run costs that one
+/// connection, never the process: the reactor closes and counts it, the
+/// cluster keeps completing operations, and the history stays causal.
+#[test]
+fn tcp_garbage_from_a_peer_closes_only_its_connection() {
+    use contrarian::net::NetKind;
+    use contrarian::protocol::build_net_cluster_on;
+    use contrarian::types::{Addr, DcId, PartitionId};
+    use std::io::Write;
+
+    let (cfg, wl) = net_config();
+    let cluster = build_net_cluster_on::<contrarian::core_protocol::Contrarian>(
+        &cfg,
+        &wl,
+        4,
+        117,
+        true,
+        NetKind::Reactor,
+    );
+    std::thread::sleep(Duration::from_millis(100));
+    let at = cluster
+        .endpoint(Addr::server(DcId(0), PartitionId(0)))
+        .expect("server listens");
+    for garbage in [&b"\xff\xff\xff\xffjunk"[..], b"\x08\x00\x00\x00garbage!"] {
+        let mut s = std::net::TcpStream::connect(at).expect("reach the listener");
+        s.write_all(garbage).expect("write garbage");
+    }
+    let after = cluster.now();
+    std::thread::sleep(Duration::from_millis(300));
+    cluster.stop_issuing();
+    std::thread::sleep(Duration::from_millis(100));
+    let peer_errors = cluster.io_stats().peer_errors;
+    let (_, _, history) = cluster.shutdown();
+    assert!(peer_errors >= 1, "garbage must be counted: {peer_errors}");
+    let later = history
+        .iter()
+        .filter(|ev| match ev {
+            HistoryEvent::RotDone { t_start, .. } | HistoryEvent::PutDone { t_start, .. } => {
+                *t_start > after
+            }
+        })
+        .count();
+    assert!(later > 20, "only {later} ops after the garbage");
+    let report = check_causal(&history);
+    assert!(report.ok(), "{:?}", report.violations.first());
+}
